@@ -14,8 +14,7 @@
 //   bench_serve_throughput [--shards 1,4] [--threads 1,2,4,8]
 //                          [--cache-mb 0,64] [--admission-window 0,200]
 //                          [--json <path>]
-//   bench_serve_throughput --repartition 4 [--incremental 0|1]
-//                          [--json <path>]
+//   bench_serve_throughput --repartition 5 [--json <path>]
 //   bench_serve_throughput --net [--threads 1,2,4,8] [--json <path>]
 //
 // --json <path> additionally writes a machine-readable snapshot of the
@@ -38,10 +37,16 @@
 // --repartition N replaces the sweep with a skew-shift experiment on N
 // shards: a mixed-load phase on the build-time workload, then a phase
 // whose queries AND inserts collapse into one corner of the domain,
-// run once with the topology frozen and once with the repartition
-// monitor enabled (live router swap + data migration mid-phase). A
-// validator thread checks sentinel points through both phases; the
-// run must complete with zero query errors.
+// run once with the topology frozen ("off") and once with the
+// repartition monitor enabled ("on": live router swap + data migration
+// mid-phase; only the cells whose cuts move are captured and rebuilt, the
+// rest are carried live). The scenario library's sentinel grid is probed
+// through both phases; the run must complete with zero query errors and
+// at least one migration. The table reports migrations, per-cell
+// (incremental) migrations, last moved/carried shards and total moved
+// points per arm. Prime shard counts (rank stripes, e.g. --repartition 5)
+// show carrying best: a corner skew in a rows x cols grid can force a row
+// re-cut that touches every cell.
 //
 // --net replaces the sweep with a wire-vs-embedded experiment: one
 // ServeLoop is built, a WireServer (src/net/) listens on an ephemeral
@@ -54,23 +59,12 @@
 // A 95r/5w pass rides along. Cells carry transport "embedded" | "wire"
 // in the JSON (CI publishes it as BENCH_serve_net.json).
 //
-// --incremental 1 (with --repartition N) adds a THIRD arm that allows
-// per-cell migrations: only shards whose cut boundaries move are
-// captured and rebuilt, the rest are carried live. The table reports
-// migrations, incremental migrations, last moved/carried shards and
-// total moved points per arm; the run fails unless the incremental arm
-// migrated strictly fewer points per migration than the full-rebuild
-// arm (and, as always, zero query errors). Prime shard counts (rank
-// stripes, e.g. --repartition 5) show carrying best: a corner skew
-// in a rows x cols grid can force a row re-cut that touches every cell.
-//
 //   WAZI_SCALE=smoke|default|paper   (50k / 1M / 8M points)
 //   WAZI_SERVE_INDEX=wazi|base|flood|...   (default wazi)
 //   WAZI_SERVE_SECONDS=<per-cell duration, default 1.5 (smoke 0.3)>
 //   WAZI_SERVE_SHARDS=<default for --shards>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -88,6 +82,7 @@
 #include "obs/metrics.h"
 #include "serve/client_driver.h"
 #include "serve/serve_loop.h"
+#include "workloads/scenario.h"
 
 namespace wazi::bench {
 namespace {
@@ -148,23 +143,9 @@ std::string FormatQps(double qps) {
   return buf;
 }
 
-// Affinely maps `r` from `from` into `to` (the skew-shift transform that
-// collapses the base workload into a corner of the domain).
-Rect MapRect(const Rect& r, const Rect& from, const Rect& to) {
-  const double sx = (to.max_x - to.min_x) / (from.max_x - from.min_x);
-  const double sy = (to.max_y - to.min_y) / (from.max_y - from.min_y);
-  return Rect::Of(to.min_x + (r.min_x - from.min_x) * sx,
-                  to.min_y + (r.min_y - from.min_y) * sy,
-                  to.min_x + (r.max_x - from.min_x) * sx,
-                  to.min_y + (r.max_y - from.min_y) * sy);
-}
-
 // Skew-shift phase experiment: pre-shift mixed load on the build-time
 // workload, then queries + inserts collapsed into `corner`, with the
-// repartition monitor on or off. A validator thread continuously checks
-// that a grid of sentinel points stays visible to point lookups AND to
-// range queries centred on them — a lost or double-routed point during a
-// live migration would show up as an error.
+// repartition monitor on or off, probed by the sentinel grid.
 struct RepartitionArmResult {
   double qps_pre = 0.0;
   double qps_post = 0.0;
@@ -182,7 +163,7 @@ RepartitionArmResult RunRepartitionArm(const std::string& index_name,
                                        const Dataset& data,
                                        const Workload& workload,
                                        int shards, double seconds,
-                                       bool adaptive, bool incremental,
+                                       bool adaptive,
                                        obs::MetricsSnapshot* metrics_out) {
   ServeOptions opts;
   opts.num_shards = shards;
@@ -195,56 +176,13 @@ RepartitionArmResult RunRepartitionArm(const std::string& index_name,
   opts.repartition.patience = 2;
   opts.repartition.min_queries = 256;
   opts.repartition.min_interval_ms = 1000;
-  opts.repartition.incremental = incremental;
-  std::fprintf(stderr, "[serve] building %d shard(s) of %s (%s)...\n",
-               shards, index_name.c_str(),
-               !adaptive      ? "repartition off"
-               : incremental ? "repartition on, incremental"
-                             : "repartition on, full rebuilds");
+  std::fprintf(stderr, "[serve] building %d shard(s) of %s (repartition "
+               "%s)...\n",
+               shards, index_name.c_str(), adaptive ? "on" : "off");
   ServeLoop loop([&index_name] { return MakeIndex(index_name); }, data,
                  workload, BuildOptions{}, opts);
-
-  // Sentinels: a grid across the domain, inserted up front. They are
-  // never removed, so every lookup and every centred range query must
-  // find them for the rest of the run, across any number of migrations.
-  std::vector<Point> sentinels;
   const Rect& b = data.bounds;
-  for (int gx = 0; gx < 8; ++gx) {
-    for (int gy = 0; gy < 8; ++gy) {
-      Point p;
-      p.x = b.min_x + (b.max_x - b.min_x) * (0.5 + gx) / 8.0;
-      p.y = b.min_y + (b.max_y - b.min_y) * (0.5 + gy) / 8.0;
-      p.id = 900000000 + gx * 8 + gy;
-      sentinels.push_back(p);
-      loop.SubmitInsert(p);
-    }
-  }
-  loop.Flush();
-
-  std::atomic<int64_t> errors{0};
-  std::atomic<bool> stop_validator{false};
-  std::thread validator([&] {
-    const double rx = (b.max_x - b.min_x) * 0.01;
-    const double ry = (b.max_y - b.min_y) * 0.01;
-    size_t i = 0;
-    while (!stop_validator.load(std::memory_order_relaxed)) {
-      const Point& p = sentinels[i++ % sentinels.size()];
-      if (!loop.PointLookup(p)) {
-        errors.fetch_add(1, std::memory_order_relaxed);
-      }
-      const serve::QueryResult res =
-          loop.Range(Rect::Of(p.x - rx, p.y - ry, p.x + rx, p.y + ry));
-      bool seen = false;
-      for (const Point& hit : res.hits) {
-        if (hit.id == p.id) seen = true;
-      }
-      if (!seen) errors.fetch_add(1, std::memory_order_relaxed);
-      // Throttled: the validator is a correctness probe, not load — at
-      // full tilt its domain-uniform queries would both perturb the
-      // measured QPS and dilute the skew signal the monitor watches.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
+  workloads::SentinelGrid sentinels(&loop, b);
 
   RepartitionArmResult arm;
   {
@@ -265,7 +203,7 @@ RepartitionArmResult RunRepartitionArm(const std::string& index_name,
   skewed.selectivity = workload.selectivity;
   skewed.queries.reserve(workload.queries.size());
   for (const Rect& q : workload.queries) {
-    skewed.queries.push_back(MapRect(q, b, corner));
+    skewed.queries.push_back(workloads::MapInto(q, b, corner));
   }
   {
     ClientLoadOptions copts;
@@ -290,8 +228,7 @@ RepartitionArmResult RunRepartitionArm(const std::string& index_name,
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   }
-  stop_validator.store(true);
-  validator.join();
+  arm.errors = sentinels.Stop();
   const serve::MigrationStats mig = loop.migration_stats();
   std::fprintf(stderr,
                "[serve] %s arm done: imbalance %.2f, epoch %llu, "
@@ -307,16 +244,8 @@ RepartitionArmResult RunRepartitionArm(const std::string& index_name,
   arm.carried_shards = mig.last_carried_shards;
   arm.moved_points = mig.total_moved_points;
   arm.epoch = loop.epoch();
-  arm.errors = errors.load();
   if (metrics_out != nullptr) *metrics_out = loop.metrics().Snapshot();
   return arm;
-}
-
-// Mean points migrated per completed migration (0 with none).
-double MovedPointsPerMigration(const RepartitionArmResult& arm) {
-  return arm.repartitions == 0 ? 0.0
-                               : static_cast<double>(arm.moved_points) /
-                                     static_cast<double>(arm.repartitions);
 }
 
 // One sweep cell plus the coordinates it ran at (the JSON row).
@@ -370,11 +299,11 @@ int WriteBenchJson(const char* path, const std::string& index_name,
   w.EndArray();
   if (arms != nullptr) {
     w.Key("repartition_arms").BeginArray();
-    static const char* kArmLabels[] = {"off", "full", "incr"};
+    static const char* kArmLabels[] = {"off", "on"};
     for (size_t i = 0; i < arms->size(); ++i) {
       const RepartitionArmResult& arm = (*arms)[i];
       w.BeginObject();
-      w.Key("arm").String(i < 3 ? kArmLabels[i] : "extra");
+      w.Key("arm").String(kArmLabels[i]);
       w.Key("qps_pre").Double(arm.qps_pre);
       w.Key("qps_post").Double(arm.qps_post);
       w.Key("p99_post_ns").Int(arm.p99_post_ns);
@@ -539,30 +468,21 @@ int RunNetExperiment(const std::string& index_name, const Dataset& data,
 int RunRepartitionExperiment(const std::string& index_name,
                              const Dataset& data, const Workload& workload,
                              int shards, double seconds,
-                             bool with_incremental, const char* json_path) {
+                             const char* json_path) {
   std::vector<std::vector<std::string>> rows;
-  // Arms: frozen topology, adaptive with full rebuilds, and (with
-  // --incremental 1) adaptive with per-cell migrations.
-  struct ArmSpec {
-    const char* label;
-    bool adaptive;
-    bool incremental;
-  };
-  std::vector<ArmSpec> specs = {{"off", false, false},
-                                {"full", true, false}};
-  if (with_incremental) specs.push_back({"incr", true, true});
+  // Arms: frozen topology ("off"), then the repartition monitor ("on").
   std::vector<RepartitionArmResult> arms;
   obs::MetricsSnapshot last_metrics;
-  for (const ArmSpec& spec : specs) {
+  for (const bool adaptive : {false, true}) {
     const RepartitionArmResult arm =
         RunRepartitionArm(index_name, data, workload, shards, seconds,
-                          spec.adaptive, spec.incremental, &last_metrics);
+                          adaptive, &last_metrics);
     arms.push_back(arm);
     char moved[48];
     std::snprintf(moved, sizeof(moved), "%lld/%lld",
                   static_cast<long long>(arm.moved_shards),
                   static_cast<long long>(arm.carried_shards));
-    rows.push_back({spec.label, FormatQps(arm.qps_pre),
+    rows.push_back({adaptive ? "on" : "off", FormatQps(arm.qps_pre),
                     FormatQps(arm.qps_post),
                     FormatNs(static_cast<double>(arm.p99_post_ns)),
                     std::to_string(arm.repartitions),
@@ -581,50 +501,29 @@ int RunRepartitionExperiment(const std::string& index_name,
               "mvd/carr", "moved pts", "errors"},
              rows);
   const RepartitionArmResult& frozen = arms[0];
-  const RepartitionArmResult& full = arms[1];
+  const RepartitionArmResult& adaptive = arms[1];
   if (frozen.qps_post > 0.0) {
     std::printf("\npost-shift QPS, repartition off -> on: %.2fx "
                 "(%lld live migration(s), %lld query errors)\n",
-                full.qps_post / frozen.qps_post,
-                static_cast<long long>(full.repartitions),
-                static_cast<long long>(full.errors + frozen.errors));
+                adaptive.qps_post / frozen.qps_post,
+                static_cast<long long>(adaptive.repartitions),
+                static_cast<long long>(adaptive.errors + frozen.errors));
   }
-  int64_t total_errors = 0;
-  for (const RepartitionArmResult& arm : arms) total_errors += arm.errors;
-  bool ok = total_errors == 0 && full.repartitions >= 1;
-  const char* failure = !ok ? (full.repartitions < 1
-                                   ? "no migration triggered"
-                                   : "sentinel query errors")
-                            : nullptr;
-  if (with_incremental) {
-    const RepartitionArmResult& incr = arms[2];
-    const double full_ppm = MovedPointsPerMigration(full);
-    const double incr_ppm = MovedPointsPerMigration(incr);
-    std::printf(
-        "moved points per migration, full -> incremental: %.0f -> %.0f "
-        "(%.2fx fewer; %lld of %lld migrations took the per-cell path)\n",
-        full_ppm, incr_ppm,
-        incr_ppm > 0.0 ? full_ppm / incr_ppm : 0.0,
-        static_cast<long long>(incr.incremental),
-        static_cast<long long>(incr.repartitions));
-    if (ok && incr.repartitions < 1) {
-      ok = false;
-      failure = "incremental arm never migrated";
-    } else if (ok && incr.incremental < 1) {
-      ok = false;
-      failure = "incremental arm fell back to full rebuilds only";
-    } else if (ok && incr_ppm >= full_ppm) {
-      ok = false;
-      failure = "incremental arm did not move fewer points per migration";
-    }
+  const char* failure = nullptr;
+  if (adaptive.repartitions < 1) {
+    failure = "no migration triggered";
+  } else if (frozen.errors + adaptive.errors > 0) {
+    failure = "sentinel query errors";
   }
-  if (!ok) std::fprintf(stderr, "[serve] FAILED: %s\n", failure);
+  if (failure != nullptr) {
+    std::fprintf(stderr, "[serve] FAILED: %s\n", failure);
+  }
   if (json_path != nullptr &&
       WriteBenchJson(json_path, index_name, data.size(), seconds,
                      /*cells=*/{}, &arms, &last_metrics) != 0) {
     return 1;
   }
-  return ok ? 0 : 1;
+  return failure == nullptr ? 0 : 1;
 }
 
 // "1,4" -> {1, 4}. Exits on malformed input or a value below `min_v`.
@@ -669,7 +568,6 @@ int Main(int argc, char** argv) {
   std::vector<int> cache_mbs = {0};
   std::vector<int> adm_windows = {0};
   int repartition_shards = 0;
-  bool incremental_arm = false;
   bool net_mode = false;
   const char* json_path = nullptr;
   int argi = 1;
@@ -696,15 +594,12 @@ int Main(int argc, char** argv) {
           ParseIntList(argv[argi + 1], "--admission-window", /*min_v=*/0);
     } else if (std::strcmp(argv[argi], "--repartition") == 0) {
       repartition_shards = ParseIntList(argv[argi + 1], "--repartition")[0];
-    } else if (std::strcmp(argv[argi], "--incremental") == 0) {
-      incremental_arm =
-          ParseIntList(argv[argi + 1], "--incremental", /*min_v=*/0)[0] != 0;
     } else if (std::strcmp(argv[argi], "--json") == 0) {
       json_path = argv[argi + 1];
     } else {
       std::fprintf(stderr,
                    "unknown flag '%s' (known: --shards --threads --cache-mb "
-                   "--admission-window --repartition --incremental --net "
+                   "--admission-window --repartition --net "
                    "--json)\n",
                    argv[argi]);
       return 2;
@@ -741,13 +636,7 @@ int Main(int argc, char** argv) {
   }
   if (repartition_shards > 0) {
     return RunRepartitionExperiment(index_name, data, workload,
-                                    repartition_shards, seconds,
-                                    incremental_arm, json_path);
-  }
-  if (incremental_arm) {
-    std::fprintf(stderr,
-                 "--incremental only applies with --repartition N\n");
-    return 2;
+                                    repartition_shards, seconds, json_path);
   }
 
   std::vector<std::vector<std::string>> rows;

@@ -110,6 +110,56 @@ size_t ZipfSampler::Sample(Rng& rng) const {
   return static_cast<size_t>(it - cdf_.begin());
 }
 
+Rect MapInto(const Rect& r, const Rect& from, const Rect& to) {
+  const double sx = (to.max_x - to.min_x) / (from.max_x - from.min_x);
+  const double sy = (to.max_y - to.min_y) / (from.max_y - from.min_y);
+  return Rect::Of(to.min_x + (r.min_x - from.min_x) * sx,
+                  to.min_y + (r.min_y - from.min_y) * sy,
+                  to.min_x + (r.max_x - from.min_x) * sx,
+                  to.min_y + (r.max_y - from.min_y) * sy);
+}
+
+SentinelGrid::SentinelGrid(serve::ServeLoop* loop, const Rect& b) {
+  for (int gx = 0; gx < 8; ++gx) {
+    for (int gy = 0; gy < 8; ++gy) {
+      Point p;
+      p.x = b.min_x + (b.max_x - b.min_x) * (0.5 + gx) / 8.0;
+      p.y = b.min_y + (b.max_y - b.min_y) * (0.5 + gy) / 8.0;
+      p.id = 900000000 + gx * 8 + gy;
+      points_.push_back(p);
+      loop->SubmitInsert(p);
+    }
+  }
+  loop->Flush();
+  const double rx = (b.max_x - b.min_x) * 0.01;
+  const double ry = (b.max_y - b.min_y) * 0.01;
+  validator_ = std::thread([this, loop, rx, ry] {
+    size_t i = 0;
+    while (!stop_.load(std::memory_order_relaxed)) {
+      const Point& p = points_[i++ % points_.size()];
+      if (!loop->PointLookup(p)) {
+        misses_.fetch_add(1, std::memory_order_relaxed);
+      }
+      const serve::QueryResult res =
+          loop->Range(Rect::Of(p.x - rx, p.y - ry, p.x + rx, p.y + ry));
+      const bool seen =
+          std::any_of(res.hits.begin(), res.hits.end(),
+                      [&p](const Point& hit) { return hit.id == p.id; });
+      if (!seen) misses_.fetch_add(1, std::memory_order_relaxed);
+      // Throttled: a probe, not load — full-tilt domain-uniform queries
+      // would perturb the measured QPS and dilute the skew signal the
+      // repartition monitor watches.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+}
+
+int64_t SentinelGrid::Stop() {
+  stop_.store(true, std::memory_order_relaxed);
+  if (validator_.joinable()) validator_.join();
+  return misses_.load();
+}
+
 serve::ServeOptions Scenario::Options(const ScenarioConfig&) const {
   serve::ServeOptions opts;
   opts.num_shards = 1;

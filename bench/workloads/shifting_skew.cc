@@ -1,14 +1,13 @@
 // Adversarial shifting-skew scenario: a balanced mixed phase, then both
 // queries and inserts collapse into one corner of the domain while the
-// repartition monitor (incremental migrations allowed) watches the
-// imbalance. A sentinel grid inserted up front is probed concurrently
-// through both phases — a point lost or double-routed during a live
-// router swap or per-cell migration shows up as a sentinel miss, which
-// fails the scenario. Whether a migration actually triggers depends on
-// scale (the JSON records migrations/moved/carried for the trajectory);
-// correctness is gated, adaptivity is recorded.
+// repartition monitor watches the imbalance. A sentinel grid inserted up
+// front is probed concurrently through both phases — a point lost or
+// double-routed during a live router swap or per-cell migration shows up
+// as a sentinel miss, which fails the scenario. Whether a migration
+// actually triggers depends on scale (the JSON records
+// migrations/moved/carried for the trajectory); correctness is gated,
+// adaptivity is recorded.
 
-#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -21,17 +20,6 @@
 namespace wazi::bench::workloads {
 namespace {
 
-// Affinely maps `r` from `from` into `to` (collapses the base workload
-// into the corner).
-Rect MapInto(const Rect& r, const Rect& from, const Rect& to) {
-  const double sx = (to.max_x - to.min_x) / (from.max_x - from.min_x);
-  const double sy = (to.max_y - to.min_y) / (from.max_y - from.min_y);
-  return Rect::Of(to.min_x + (r.min_x - from.min_x) * sx,
-                  to.min_y + (r.min_y - from.min_y) * sy,
-                  to.min_x + (r.max_x - from.min_x) * sx,
-                  to.min_y + (r.max_y - from.min_y) * sy);
-}
-
 class ShiftingSkewScenario : public Scenario {
  public:
   std::string id() const override { return "shifting_skew"; }
@@ -43,7 +31,7 @@ class ShiftingSkewScenario : public Scenario {
     return "phase 1: 95r/5w balanced; phase 2: 80r/20w, all in a corner";
   }
   std::string stresses() const override {
-    return "repartition monitor + incremental migration, writer-gen "
+    return "repartition monitor + per-cell migration, writer-gen "
            "cutover, sentinel visibility across router swaps";
   }
 
@@ -69,7 +57,6 @@ class ShiftingSkewScenario : public Scenario {
     opts.repartition.patience = 2;
     opts.repartition.min_queries = 256;
     opts.repartition.min_interval_ms = 500;
-    opts.repartition.incremental = true;
     return opts;
   }
 
@@ -82,45 +69,8 @@ class ShiftingSkewScenario : public Scenario {
     serve::ServeLoop* loop = ctx.loop;
     const Rect& b = ctx.data->bounds;
 
-    // Sentinels: an 8x8 grid, never removed — every probe must find
-    // them for the rest of the run, across any number of migrations.
-    std::vector<Point> sentinels;
-    for (int gx = 0; gx < 8; ++gx) {
-      for (int gy = 0; gy < 8; ++gy) {
-        Point p;
-        p.x = b.min_x + (b.max_x - b.min_x) * (0.5 + gx) / 8.0;
-        p.y = b.min_y + (b.max_y - b.min_y) * (0.5 + gy) / 8.0;
-        p.id = 900000000 + gx * 8 + gy;
-        sentinels.push_back(p);
-        loop->SubmitInsert(p);
-      }
-    }
-    loop->Flush();
-    sentinels_ = sentinels;
-
-    std::atomic<int64_t> errors{0};
-    std::atomic<bool> stop_validator{false};
-    std::thread validator([&] {
-      const double rx = (b.max_x - b.min_x) * 0.01;
-      const double ry = (b.max_y - b.min_y) * 0.01;
-      size_t i = 0;
-      while (!stop_validator.load(std::memory_order_relaxed)) {
-        const Point& p = sentinels[i++ % sentinels.size()];
-        if (!loop->PointLookup(p)) {
-          errors.fetch_add(1, std::memory_order_relaxed);
-        }
-        const serve::QueryResult res = loop->Range(
-            Rect::Of(p.x - rx, p.y - ry, p.x + rx, p.y + ry));
-        bool seen = false;
-        for (const Point& hit : res.hits) {
-          if (hit.id == p.id) seen = true;
-        }
-        if (!seen) errors.fetch_add(1, std::memory_order_relaxed);
-        // A probe, not load: full-tilt uniform queries would dilute the
-        // skew signal the monitor watches.
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
+    SentinelGrid sentinels(loop, b);
+    sentinels_ = sentinels.points();
 
     {
       serve::ClientLoadOptions copts;
@@ -169,11 +119,10 @@ class ShiftingSkewScenario : public Scenario {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       }
     }
-    stop_validator.store(true);
-    validator.join();
-    if (errors.load() > 0) {
+    const int64_t misses = sentinels.Stop();
+    if (misses > 0) {
       failures->push_back("sentinel probes failed during the shift: " +
-                          std::to_string(errors.load()) + " misses");
+                          std::to_string(misses) + " misses");
     }
   }
 

@@ -32,7 +32,7 @@
 // share) EXCEEDS the fair share beyond a tolerance mark their adjacent
 // cuts as moving; everything a moving cut touches is "changed", the rest
 // can be CARRIED into the next topology verbatim (see ServeLoop's
-// incremental migration path).
+// migration pipeline).
 //
 // Pure decision logic, no threads and no clocks of its own (callers pass
 // timestamps), so it is unit-testable in isolation; ServeLoop owns the
@@ -50,9 +50,10 @@ namespace wazi::serve {
 
 struct RepartitionOptions {
   // Run the monitor thread and migrate automatically when it recommends.
-  // Off by default: repartitions move every point of the index between
-  // generations, so opting in should be deliberate (benchmarks and tests
-  // also drive migrations explicitly via ServeLoop::TriggerRepartition).
+  // Off by default: a migration captures and rebuilds its changed cells
+  // under live traffic, so opting in should be deliberate (benchmarks and
+  // tests also drive migrations explicitly via
+  // ServeLoop::TriggerRepartition).
   bool enabled = false;
   // Monitor sampling period.
   int poll_ms = 200;
@@ -74,12 +75,12 @@ struct RepartitionOptions {
   double weight_stabs = 1.0;
   double weight_queue = 0.5;
 
-  // --- incremental (per-cell) migration ------------------------------
-  // Migrate only the cells whose cuts actually move, carrying the rest
-  // into the next topology (ServeLoop falls back to a full rebuild when
-  // the plan is infeasible — shard-count change, no dirty cell, or too
-  // many changed cells for carrying to pay off).
-  bool incremental = true;
+  // --- per-cell migration plan --------------------------------------
+  // A migration at the current count re-cuts only the cells whose cuts
+  // actually move, carrying the rest into the next topology (ServeLoop
+  // re-cuts every cell when the plan is infeasible — no dirty cell, or
+  // too many changed cells for carrying to pay off).
+  //
   // A cell is dirty when its item count (or, with enough traffic, its
   // stab share) exceeds the fair share by more than this fraction.
   // Overload only: cold cells are relieved implicitly when their hot
@@ -91,7 +92,7 @@ struct RepartitionOptions {
   // tolerance, because moving a y-cut invalidates BOTH adjacent rows
   // wholesale.
   double incremental_row_tolerance = 0.5;
-  // Fall back to a full rebuild when more than this fraction of cells
+  // Re-cut every cell when more than this fraction of cells
   // would change anyway.
   double incremental_max_changed_fraction = 0.65;
 

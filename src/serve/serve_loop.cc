@@ -35,7 +35,9 @@ ServeLoop::ServeLoop(IndexFactory factory, const Dataset& data,
   simd_batches_ctr_ = metrics_.GetCounter("serve_simd_batches_total");
   scalar_tail_ctr_ = metrics_.GetCounter("serve_scalar_tail_total");
   latency_hist_ = metrics_.GetHistogram("serve_query_latency_ns");
-  writer_gen_.Store(StartWriters(index_.AcquireTopology()));
+  const std::shared_ptr<ShardTopology> topo = index_.AcquireTopology();
+  writer_gen_.Store(StartWriters(
+      topo, std::vector<bool>(static_cast<size_t>(topo->num_shards()), true)));
   if (opts_.repartition.enabled) {
     monitor_thread_ = std::thread([this] { MonitorLoop(); });
   }
@@ -70,10 +72,10 @@ bool ServeLoop::SampleThisQuery() {
          0;
 }
 
-void ServeLoop::FinishMigration(uint64_t old_epoch, uint64_t new_epoch,
-                                int64_t moved_shards, int64_t carried_shards,
-                                int64_t moved_points, bool incremental) {
-  (void)old_epoch;
+void ServeLoop::FinishMigration(uint64_t new_epoch, int64_t moved_shards,
+                                int64_t carried_shards,
+                                int64_t moved_points) {
+  const bool incremental = carried_shards > 0;
   {
     MutexLock lock(&mig_mu_);
     ++mig_.migrations;
@@ -99,7 +101,7 @@ void ServeLoop::FinishMigration(uint64_t old_epoch, uint64_t new_epoch,
 }
 
 std::shared_ptr<ServeLoop::WriterGen> ServeLoop::StartWriters(
-    std::shared_ptr<ShardTopology> topo, const std::vector<bool>* gated) {
+    std::shared_ptr<ShardTopology> topo, const std::vector<bool>& changed) {
   auto gen = std::make_shared<WriterGen>();
   gen->epoch = topo->epoch;
   gen->topo = std::move(topo);
@@ -115,7 +117,7 @@ std::shared_ptr<ServeLoop::WriterGen> ServeLoop::StartWriters(
       MutexLock lock(&w.monitor_mu);
       w.recent.resize(opts_.recent_window);
     }
-    if (gated != nullptr && (*gated)[static_cast<size_t>(s)]) {
+    if (!changed[static_cast<size_t>(s)]) {
       MutexLock lock(&w.queue_mu);
       w.gate = true;
     }
@@ -285,19 +287,51 @@ bool ServeLoop::TriggerRepartition(int new_num_shards) {
   return true;
 }
 
-void ServeLoop::RepartitionLocked(int new_num_shards,
-                                  const std::vector<ShardLoad>* window_loads,
-                                  uint64_t window_epoch) {
-  const std::shared_ptr<WriterGen> old_gen = writer_gen_.Load();
-  const int n_old = old_gen->topo->num_shards();
-  const int n_new = new_num_shards > 0 ? new_num_shards : n_old;
-  // The per-cell path applies only when the grid shape survives: same
-  // shard count (a resize re-cuts everything) and more than one shard.
-  if (opts_.repartition.incremental && n_new == n_old && n_old > 1 &&
-      TryIncrementalRepartitionLocked(old_gen, window_loads, window_epoch)) {
-    return;
+ServeLoop::MigrationPlan ServeLoop::PlanMigration(
+    const WriterGen& gen, int new_num_shards,
+    const std::vector<ShardLoad>* window_loads, uint64_t window_epoch) const {
+  const ShardTopology& topo = *gen.topo;
+  const int n = topo.num_shards();
+  MigrationPlan plan;
+  plan.num_shards = new_num_shards > 0 ? new_num_shards : n;
+  // The per-cell path applies only when the caller leaves the count to the
+  // coordinator: an explicit count, even the current one, re-cuts all.
+  if (new_num_shards <= 0) {
+    // Stab inputs must match what armed the trigger: the monitor judges
+    // per-interval DELTAS, so when its window samples are available (and
+    // still describe THIS generation — a concurrent TriggerRepartition may
+    // have swapped it since they were taken) the planner uses those, not
+    // the generation's lifetime totals, which would dilute a late-breaking
+    // query skew under a long balanced history (plan finds nothing →
+    // silent full re-cut) or keep a formerly-hot cell dirty forever.
+    // Manual triggers have no window and fall back to the per-generation
+    // totals. Item counts are always read fresh from the mirrors.
+    const bool use_window = window_loads != nullptr &&
+                            window_epoch == gen.epoch &&
+                            window_loads->size() == static_cast<size_t>(n);
+    std::vector<ShardLoad> loads(static_cast<size_t>(n));
+    for (int s = 0; s < n; ++s) {
+      ShardLoad& load = loads[static_cast<size_t>(s)];
+      load.items = topo.shards[static_cast<size_t>(s)]->num_points();
+      load.query_stabs =
+          use_window
+              ? (*window_loads)[static_cast<size_t>(s)].query_stabs
+              : gen.writers[static_cast<size_t>(s)]
+                    // relaxed: pure statistic sampled for planning.
+                    ->query_stabs.load(std::memory_order_relaxed);
+    }
+    plan.cells = PlanIncrementalRecut(topo.router.rows(), topo.router.cols(),
+                                      loads, opts_.repartition);
   }
-  FullRepartitionLocked(old_gen, n_new);
+  // Everything else — an explicit count, one shard, a balanced tiling, or
+  // nearly every cell moving — is the plan with every cell changed (of
+  // both generations: their counts may differ) and the router re-cut.
+  plan.recut_all = !plan.cells.feasible;
+  if (plan.recut_all) {
+    plan.cells.changed.assign(
+        static_cast<size_t>(std::max(n, plan.num_shards)), true);
+  }
+  return plan;
 }
 
 Workload ServeLoop::MigrationWorkload(const WriterGen& gen) {
@@ -326,14 +360,14 @@ Workload ServeLoop::MigrationWorkload(const WriterGen& gen) {
 }
 
 void ServeLoop::BeginDualWriteAndCapture(WriterGen& gen,
-                                         const std::vector<bool>* changed) {
+                                         const std::vector<bool>& changed) {
   // From each participating shard's next submit on, ops are logged to its
   // delta as well as applied to the old generation. The capture target
   // pins everything submitted BEFORE dual-write began: those ops are only
   // visible through the captured point set, everything later is (also) in
   // a delta.
   for (size_t s = 0; s < gen.writers.size(); ++s) {
-    if (changed != nullptr && !(*changed)[s]) continue;
+    if (!changed[s]) continue;
     ShardWriter& w = *gen.writers[s];
     {
       MutexLock lock(&w.queue_mu);
@@ -348,14 +382,14 @@ void ServeLoop::BeginDualWriteAndCapture(WriterGen& gen,
 }
 
 std::vector<Point> ServeLoop::AwaitCaptures(WriterGen& gen,
-                                            const std::vector<bool>* changed) {
+                                            const std::vector<bool>& changed) {
   // Each participating old writer copies its authoritative point set once
   // it has applied through its capture target. Bounded by writer
   // progress, which is bounded by writer_stall_ms even under a parked
   // reader snapshot (copy-on-stall).
   std::vector<Point> points;
   for (size_t s = 0; s < gen.writers.size(); ++s) {
-    if (changed != nullptr && !(*changed)[s]) continue;
+    if (!changed[s]) continue;
     ShardWriter& w = *gen.writers[s];
     MutexLock lock(&w.queue_mu);
     while (!w.capture_done) w.capture_cv.Wait(w.queue_mu);
@@ -368,7 +402,7 @@ std::vector<Point> ServeLoop::AwaitCaptures(WriterGen& gen,
 }
 
 size_t ServeLoop::DrainDeltas(WriterGen& old_gen, WriterGen& new_gen,
-                              const std::vector<bool>* changed,
+                              const std::vector<bool>& changed,
                               size_t batch_limit) {
   // Drain delta chunks into the new generation (routed through the NEW
   // router) while the old generation still accepts submits, so the final
@@ -380,7 +414,7 @@ size_t ServeLoop::DrainDeltas(WriterGen& old_gen, WriterGen& new_gen,
   for (int round = 0; round < 8; ++round) {
     size_t moved_ops = 0;
     for (size_t s = 0; s < old_gen.writers.size(); ++s) {
-      if (changed != nullptr && !(*changed)[s]) continue;
+      if (!changed[s]) continue;
       ShardWriter& w = *old_gen.writers[s];
       chunk.clear();
       {
@@ -398,44 +432,67 @@ size_t ServeLoop::DrainDeltas(WriterGen& old_gen, WriterGen& new_gen,
   return total_ops;
 }
 
-void ServeLoop::FullRepartitionLocked(
-    const std::shared_ptr<WriterGen>& old_gen, int n_new) {
+void ServeLoop::RepartitionLocked(int new_num_shards,
+                                  const std::vector<ShardLoad>* window_loads,
+                                  uint64_t window_epoch) {
+  const std::shared_ptr<WriterGen> old_gen = writer_gen_.Load();
   const ShardTopology& old_topo = *old_gen->topo;
   const uint64_t target_epoch = old_topo.epoch + 1;
-  journal_.Record(obs::TraceEventKind::kMigrationPlan, target_epoch,
-                  /*shard=*/-1, /*moved=*/n_new, /*carried=*/0,
-                  /*incremental=*/0);
 
-  // --- DUAL-WRITE + CAPTURE (every shard) --------------------------------
-  BeginDualWriteAndCapture(*old_gen, /*changed=*/nullptr);
-  std::vector<Point> points = AwaitCaptures(*old_gen, /*changed=*/nullptr);
+  // --- PLAN ----------------------------------------------------------------
+  const MigrationPlan plan =
+      PlanMigration(*old_gen, new_num_shards, window_loads, window_epoch);
+  const std::vector<bool>& changed = plan.cells.changed;
+  const int n_new = plan.num_shards;
+  const int moved_shards =
+      static_cast<int>(std::count(changed.begin(), changed.begin() + n_new,
+                                  true));
+  const int carried_shards = n_new - moved_shards;
+  journal_.Record(obs::TraceEventKind::kMigrationPlan, target_epoch,
+                  /*shard=*/-1, moved_shards, carried_shards,
+                  /*incremental=*/carried_shards > 0 ? 1 : 0);
+
+  // --- DUAL-WRITE + CAPTURE (changed shards only) -------------------------
+  // Carried shards never dual-write: their live VersionedIndex moves to
+  // the new generation as-is, so every op applied to them is carried too.
+  BeginDualWriteAndCapture(*old_gen, changed);
+  std::vector<Point> points = AwaitCaptures(*old_gen, changed);
   journal_.Record(obs::TraceEventKind::kMigrationCapture, target_epoch,
                   /*shard=*/-1, static_cast<int64_t>(points.size()));
 
-  // --- BUILD -------------------------------------------------------------
-  // Router inputs: the captured points and the recent live workload. The
-  // old generation keeps serving reads and writes throughout.
+  // --- BUILD (changed shards only) ----------------------------------------
+  // Router inputs: the captured points and the recent live workload. A
+  // full re-cut places every boundary afresh; a per-cell plan re-places
+  // only the moved ones, between their kept neighbours. The old
+  // generation keeps serving reads and writes throughout.
   const Workload recent = MigrationWorkload(*old_gen);
   Rect domain = old_topo.domain;
   for (const Point& p : points) domain.Expand(p);
-
+  ShardRouter router;
+  if (plan.recut_all) {
+    router.Build(points, n_new, domain, &recent);
+  } else {
+    router.BuildMovedCuts(old_topo.router, plan.cells.y_cut_moves,
+                          plan.cells.x_cut_moves, points, domain, &recent);
+  }
+  std::shared_ptr<ShardTopology> new_topo = index_.BuildTopology(
+      &old_topo, router, changed, points, recent, domain, target_epoch);
   const int64_t moved_points = static_cast<int64_t>(points.size());
-  std::shared_ptr<ShardTopology> new_topo = index_.BuildNextTopology(
-      points, recent, n_new, domain, old_topo.epoch + 1,
-      /*version_base=*/0);
   points.clear();
   points.shrink_to_fit();
-  const std::shared_ptr<WriterGen> new_gen = StartWriters(new_topo);
+  const std::shared_ptr<WriterGen> new_gen = StartWriters(new_topo, changed);
 
-  // --- CATCH-UP ----------------------------------------------------------
-  const size_t drained = DrainDeltas(*old_gen, *new_gen, /*changed=*/nullptr,
-                                     opts_.writer_batch_limit);
+  // --- CATCH-UP (changed shards' deltas) ----------------------------------
+  const size_t drained =
+      DrainDeltas(*old_gen, *new_gen, changed, opts_.writer_batch_limit);
   journal_.Record(obs::TraceEventKind::kMigrationCatchUp, target_epoch,
                   /*shard=*/-1, static_cast<int64_t>(drained));
 
-  // --- CUTOVER -----------------------------------------------------------
-  // Close every old shard (submitters retry until the new generation is
-  // installed) and take the final delta chunks.
+  // --- CUTOVER -------------------------------------------------------------
+  // ALL old shards close — carried ones too, so a submitter that loaded
+  // the old generation before the swap can never reach an old queue after
+  // its drain (it retries into the successor instead) — and hand over
+  // their final delta chunks (empty for carried shards).
   std::vector<UpdateOp> final_ops;
   for (const auto& w : old_gen->writers) {
     {
@@ -452,154 +509,9 @@ void ServeLoop::FullRepartitionLocked(
   for (const UpdateOp& op : final_ops) {
     EnqueueTo(*new_gen, op, opts_.writer_batch_limit);
   }
-  std::vector<uint64_t> replay_targets(new_gen->writers.size());
-  for (size_t s = 0; s < new_gen->writers.size(); ++s) {
-    MutexLock lock(&new_gen->writers[s]->queue_mu);
-    replay_targets[s] = new_gen->writers[s]->submitted;
-  }
-  // Open the flood gates: submits route to the new generation from here.
-  writer_gen_.Store(new_gen);
-
-  // Old writers drain (closed shards accept nothing new, so this
-  // terminates), making the old generation's final state fixed...
-  for (const auto& w : old_gen->writers) {
-    MutexLock lock(&w->queue_mu);
-    while (w->applied != w->submitted) w->flush_cv.Wait(w->queue_mu);
-  }
-  // ...which pins the version base that keeps the facade version monotone
-  // across the swap.
-  new_topo->version_base = old_topo.version();
-  // New writers catch up through the replay before readers see the new
-  // topology: a query re-issued right after the swap observes at least
-  // everything the old generation's final state served.
-  for (size_t s = 0; s < new_gen->writers.size(); ++s) {
-    ShardWriter& w = *new_gen->writers[s];
-    MutexLock lock(&w.queue_mu);
-    while (w.applied < replay_targets[s]) w.flush_cv.Wait(w.queue_mu);
-  }
-  index_.PublishTopology(new_topo);
-  journal_.Record(obs::TraceEventKind::kMigrationCutover, target_epoch,
-                  /*shard=*/-1, static_cast<int64_t>(final_ops.size()));
-
-  // --- RETIRE ------------------------------------------------------------
-  for (const auto& w : old_gen->writers) {
-    {
-      MutexLock lock(&w->queue_mu);
-      w->stop = true;
-    }
-    w->queue_cv.NotifyAll();
-  }
-  for (const auto& w : old_gen->writers) {
-    if (w->thread.joinable()) w->thread.join();
-  }
-  // The old topology itself is reclaimed once the last reader that pinned
-  // it lets go (its shards' VersionedIndex destructors wait out their
-  // snapshot drains).
-  FinishMigration(old_topo.epoch, target_epoch, /*moved_shards=*/n_new,
-                  /*carried_shards=*/0, moved_points, /*incremental=*/false);
-}
-
-bool ServeLoop::TryIncrementalRepartitionLocked(
-    const std::shared_ptr<WriterGen>& old_gen,
-    const std::vector<ShardLoad>* window_loads, uint64_t window_epoch) {
-  const ShardTopology& old_topo = *old_gen->topo;
-  const ShardRouter& router = old_topo.router;
-  const int n = old_topo.num_shards();
-
-  // --- PLAN --------------------------------------------------------------
-  // Stab inputs must match what armed the trigger: the monitor judges
-  // per-interval DELTAS, so when its window samples are available (and
-  // still describe THIS generation — a concurrent TriggerRepartition may
-  // have swapped it since they were taken) the planner uses those, not
-  // the generation's lifetime totals, which would dilute a late-breaking
-  // query skew under a long balanced history (plan finds nothing →
-  // silent full rebuild) or keep a formerly-hot cell dirty forever.
-  // Manual triggers have no window and fall back to the per-generation
-  // totals. Item counts are always read fresh from the mirrors.
-  const bool use_window = window_loads != nullptr &&
-                          window_epoch == old_gen->epoch &&
-                          window_loads->size() == static_cast<size_t>(n);
-  std::vector<ShardLoad> loads(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    ShardLoad& load = loads[static_cast<size_t>(s)];
-    load.items = old_topo.shards[static_cast<size_t>(s)]->num_points();
-    load.query_stabs =
-        use_window
-            ? (*window_loads)[static_cast<size_t>(s)].query_stabs
-            : old_gen->writers[static_cast<size_t>(s)]
-                  // relaxed: pure statistic sampled for planning.
-                  ->query_stabs.load(std::memory_order_relaxed);
-  }
-  const IncrementalPlan plan =
-      PlanIncrementalRecut(router.rows(), router.cols(), loads,
-                           opts_.repartition);
-  if (!plan.feasible) return false;
-  const uint64_t target_epoch = old_topo.epoch + 1;
-  journal_.Record(obs::TraceEventKind::kMigrationPlan, target_epoch,
-                  /*shard=*/-1, /*moved=*/plan.num_changed(),
-                  /*carried=*/n - plan.num_changed(), /*incremental=*/1);
-
-  // --- DUAL-WRITE + CAPTURE (changed shards only) -------------------------
-  // Carried shards never dual-write: their live VersionedIndex moves to
-  // the new generation as-is, so every op applied to them is carried too.
-  BeginDualWriteAndCapture(*old_gen, &plan.changed);
-  std::vector<Point> moved = AwaitCaptures(*old_gen, &plan.changed);
-  journal_.Record(obs::TraceEventKind::kMigrationCapture, target_epoch,
-                  /*shard=*/-1, static_cast<int64_t>(moved.size()));
-
-  // --- BUILD (moved boundaries + changed shards only) ---------------------
-  const Workload recent = MigrationWorkload(*old_gen);
-  Rect domain = old_topo.domain;
-  for (const Point& p : moved) domain.Expand(p);
-  ShardRouter new_router;
-  new_router.BuildMovedCuts(router, plan.y_cut_moves, plan.x_cut_moves,
-                            moved, domain, &recent);
-  std::shared_ptr<ShardTopology> new_topo = index_.BuildIncrementalTopology(
-      old_topo, new_router, plan.changed, moved, recent, domain,
-      old_topo.epoch + 1);
-  const int64_t moved_points = static_cast<int64_t>(moved.size());
-  moved.clear();
-  moved.shrink_to_fit();
-  // Carried shards' new writers start GATED: they share their
-  // VersionedIndex with the old generation's writers, which own it until
-  // the old drain below.
-  std::vector<bool> gated(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    gated[static_cast<size_t>(s)] = !plan.changed[static_cast<size_t>(s)];
-  }
-  const std::shared_ptr<WriterGen> new_gen = StartWriters(new_topo, &gated);
-
-  // --- CATCH-UP (changed shards' deltas) ----------------------------------
-  const size_t drained =
-      DrainDeltas(*old_gen, *new_gen, &plan.changed, opts_.writer_batch_limit);
-  journal_.Record(obs::TraceEventKind::kMigrationCatchUp, target_epoch,
-                  /*shard=*/-1, static_cast<int64_t>(drained));
-
-  // --- CUTOVER -------------------------------------------------------------
-  // ALL old shards close — carried ones too, so a submitter that loaded
-  // the old generation before the swap can never reach an old queue after
-  // its drain (it retries into the successor instead).
-  std::vector<UpdateOp> final_ops;
-  for (const auto& w : old_gen->writers) {
-    {
-      MutexLock lock(&w->queue_mu);
-      w->closed = true;
-      if (w->dual_write) {
-        w->dual_write = false;
-        final_ops.insert(final_ops.end(), w->delta.begin(), w->delta.end());
-        w->delta.clear();
-      }
-    }
-    w->queue_cv.NotifyAll();
-  }
-  // Replay the final chunks BEFORE opening the new generation to direct
-  // submits, so per-coordinate op order spans the generations correctly.
-  for (const UpdateOp& op : final_ops) {
-    EnqueueTo(*new_gen, op, opts_.writer_batch_limit);
-  }
   std::vector<uint64_t> replay_targets(new_gen->writers.size(), 0);
   for (size_t s = 0; s < new_gen->writers.size(); ++s) {
-    if (!plan.changed[s]) continue;
+    if (!changed[s]) continue;
     MutexLock lock(&new_gen->writers[s]->queue_mu);
     replay_targets[s] = new_gen->writers[s]->submitted;
   }
@@ -617,17 +529,16 @@ bool ServeLoop::TryIncrementalRepartitionLocked(
   // ...which freezes the old generation's final state. Version base:
   // carried shards keep their (still advancing) version counters, so the
   // base absorbs only the retiring REBUILT shards' versions — the facade
-  // version stays monotone and tight across the swap.
+  // version stays monotone and tight across the swap (with every cell
+  // changed this is exactly old_topo.version()).
   uint64_t version_base = old_topo.version_base;
-  for (int s = 0; s < n; ++s) {
-    if (plan.changed[static_cast<size_t>(s)]) {
-      version_base += old_topo.shards[static_cast<size_t>(s)]->version();
-    }
+  for (size_t s = 0; s < old_topo.shards.size(); ++s) {
+    if (changed[s]) version_base += old_topo.shards[s]->version();
   }
   new_topo->version_base = version_base;
   // Single-writer hand-off complete: open the carried shards' gates.
   for (size_t s = 0; s < new_gen->writers.size(); ++s) {
-    if (plan.changed[s]) continue;
+    if (changed[s]) continue;
     {
       MutexLock lock(&new_gen->writers[s]->queue_mu);
       new_gen->writers[s]->gate = false;
@@ -635,9 +546,9 @@ bool ServeLoop::TryIncrementalRepartitionLocked(
     new_gen->writers[s]->queue_cv.NotifyAll();
   }
   // Rebuilt shards catch up through the replay before readers see the new
-  // topology.
+  // topology: a query re-issued right after the swap observes at least
+  // everything the old generation's final state served.
   for (size_t s = 0; s < new_gen->writers.size(); ++s) {
-    if (!plan.changed[s]) continue;
     ShardWriter& w = *new_gen->writers[s];
     MutexLock lock(&w.queue_mu);
     while (w.applied < replay_targets[s]) w.flush_cv.Wait(w.queue_mu);
@@ -657,11 +568,10 @@ bool ServeLoop::TryIncrementalRepartitionLocked(
   for (const auto& w : old_gen->writers) {
     if (w->thread.joinable()) w->thread.join();
   }
-  const int changed = plan.num_changed();
-  FinishMigration(old_topo.epoch, target_epoch, /*moved_shards=*/changed,
-                  /*carried_shards=*/n - changed, moved_points,
-                  /*incremental=*/true);
-  return true;
+  // The old topology itself is reclaimed once the last reader that pinned
+  // it lets go; carried shards survive through the new topology's
+  // reference.
+  FinishMigration(target_epoch, moved_shards, carried_shards, moved_points);
 }
 
 MigrationStats ServeLoop::migration_stats() const {
@@ -730,7 +640,7 @@ void ServeLoop::MonitorLoop() {
         if (go) {
           // 0 = re-cut at the current count; a matured auto-tune streak
           // recommends the new count, executed as a full migration. The
-          // window samples ride along so the incremental planner judges
+          // window samples ride along so the per-cell planner judges
           // the same per-interval stab deltas that armed the trigger.
           RepartitionLocked(repartition_monitor_.recommended_shards(),
                             &loads, gen->epoch);

@@ -28,21 +28,20 @@
 //     watches per-shard load (item counts, query stabs, update-queue
 //     depths) and, when the imbalance crosses a threshold, the loop
 //     executes a live migration — readers never block, writers stall only
-//     for the final hand-off. Migrations are INCREMENTAL whenever the
-//     plan allows: only the cells whose cut boundaries move are captured
-//     and rebuilt, every other shard is CARRIED into the new generation
-//     live (same VersionedIndex, new owner), turning migration cost from
-//     O(total points) into O(points in changed cells). The monitor can
-//     also recommend a new shard COUNT (auto_shard_count: grow on
-//     uniformly hot writer queues, shrink on idle slivers) — a count
-//     change always takes the full pipeline. See the cutover state
-//     machine below and docs/ARCHITECTURE.md.
+//     for the final hand-off. A migration captures and rebuilds only the
+//     cells whose cut boundaries move; every other shard is CARRIED into
+//     the new generation live (same VersionedIndex, new owner), turning
+//     migration cost from O(total points) into O(points in changed
+//     cells). The monitor can also recommend a new shard COUNT
+//     (auto_shard_count: grow on uniformly hot writer queues, shrink on
+//     idle slivers) — a count change re-cuts every cell. See the cutover
+//     state machine below and docs/ARCHITECTURE.md.
 //
 // Repartition cutover state machine (coordinator = the monitor thread or
-// a TriggerRepartition caller; one migration at a time). The full path
-// treats every shard as CHANGED; the incremental path first plans which
-// cells move (PlanIncrementalRecut) and applies the bracketed steps only
-// to those, while CARRIED shards skip dual-write/capture/build entirely:
+// a TriggerRepartition caller; one migration at a time). The PLAN marks
+// which cells change: those PlanIncrementalRecut picks when its plan is
+// feasible at the current count, else every cell (a full re-cut).
+// CARRIED (unchanged) shards skip dual-write/capture/build entirely:
 //
 //   STEADY ──► DUAL-WRITE: every CHANGED shard's writer queue starts
 //              logging submitted ops to a per-shard delta log (ops keep
@@ -54,12 +53,12 @@
 //              changed cell (overlap is fine — replay is idempotent per
 //              SanitizeOps). Carried cells' ops keep applying to their
 //              live shard, which moves to the new generation as-is.
-//   BUILD:     the coordinator cuts the new router (full: fresh quantiles
-//              of all captured points; incremental: only the flagged
-//              boundaries re-place, between their kept neighbours) and
-//              builds the CHANGED cells' VersionedIndex shards in the
-//              background. The old generation keeps serving reads AND
-//              writes.
+//   BUILD:     the coordinator cuts the new router (every cell changed:
+//              fresh quantiles of all captured points; otherwise only the
+//              flagged boundaries re-place, between their kept
+//              neighbours) and builds the CHANGED cells' VersionedIndex
+//              shards in the background. The old generation keeps
+//              serving reads AND writes.
 //   CATCH-UP:  changed shards' delta chunks drain into the new
 //              generation's writer queues (routed through the NEW router)
 //              until the backlog is small.
@@ -215,12 +214,12 @@ class ServeLoop {
 
   // --- topology adaptation ---
   // Executes one live migration to a freshly cut topology, on the calling
-  // thread. With `new_num_shards` == 0 (keep the count) and
-  // repartition.incremental on, the coordinator first tries the PER-CELL
-  // path: only shards whose cut boundaries the plan moves are captured
-  // and rebuilt, the rest are carried into the new topology live (see the
-  // state machine above). Infeasible plans — count change, balanced
-  // tiling, or nearly everything moving — fall back to the full pipeline.
+  // thread. With `new_num_shards` == 0 (keep the count) the plan is
+  // PER-CELL whenever feasible: only shards whose cut boundaries move are
+  // captured and rebuilt, the rest are carried into the new topology live
+  // (see the state machine above). An explicit count — even the current
+  // one — or an infeasible plan (one shard, balanced tiling, nearly
+  // everything moving) re-cuts every cell: the explicit full re-level.
   // Returns false without migrating when the loop is stopping.
   // Serialized: concurrent calls run one migration after another. Reader
   // backpressure on the capture phase is bounded by writer_stall_ms.
@@ -347,12 +346,11 @@ class ServeLoop {
     std::vector<std::unique_ptr<ShardWriter>> writers;
   };
 
-  // Creates writers (threads running) for `topo`. `gated`, when non-null,
-  // marks per-shard writers that start with their hand-off gate closed
-  // (carried shards of an incremental migration).
+  // Creates writers (threads running) for `topo`. Writers of shards with
+  // changed[s] == false (carried by a migration) start with their
+  // hand-off gate closed.
   std::shared_ptr<WriterGen> StartWriters(std::shared_ptr<ShardTopology> topo,
-                                          const std::vector<bool>* gated =
-                                              nullptr);
+                                          const std::vector<bool>& changed);
   void WriterLoop(std::shared_ptr<WriterGen> gen, int s);
   void Submit(const Point& p, bool insert);
   // Enqueues `op` to its owning shard of `gen`. Returns false (op not
@@ -377,43 +375,45 @@ class ServeLoop {
   // input of a migration); falls back to the old generation's training
   // slices when live traffic has been thin.
   static Workload MigrationWorkload(const WriterGen& gen);
-  // Migration phase steps shared by the full and incremental paths;
-  // `changed` == nullptr means every shard (the full path), else only
-  // shards with changed[s] participate. One protocol, one
-  // implementation — the paths differ only in which shards they touch.
+  // One migration's plan. A per-cell plan (PlanIncrementalRecut) changes
+  // some cells, re-places only their cut boundaries and carries the
+  // rest; a full re-cut (recut_all) changes every cell of both
+  // generations — cells.changed then covers max(old, new) shard ids — and
+  // cuts the router afresh. Only a full re-cut may change the count.
+  struct MigrationPlan {
+    int num_shards = 0;
+    bool recut_all = false;
+    IncrementalPlan cells;  // changed mask by shard id (+ the cut moves)
+  };
+  // Plans a migration of `gen` to `new_num_shards` (0 = keep the count).
+  // Stab inputs come from `window_loads` when they match gen's epoch; a
+  // manual TriggerRepartition has no sampling window and falls back to
+  // the generation's cumulative stab totals (items are always read fresh
+  // from the authoritative mirrors).
+  MigrationPlan PlanMigration(const WriterGen& gen, int new_num_shards,
+                              const std::vector<ShardLoad>* window_loads,
+                              uint64_t window_epoch) const;
+  // Migration phase steps; only shards with changed[s] participate.
   static void BeginDualWriteAndCapture(WriterGen& gen,
-                                       const std::vector<bool>* changed);
+                                       const std::vector<bool>& changed);
   static std::vector<Point> AwaitCaptures(WriterGen& gen,
-                                          const std::vector<bool>* changed);
+                                          const std::vector<bool>& changed);
   // Returns the total number of delta ops replayed into `new_gen` (the
   // kMigrationCatchUp attribution).
   static size_t DrainDeltas(WriterGen& old_gen, WriterGen& new_gen,
-                            const std::vector<bool>* changed,
+                            const std::vector<bool>& changed,
                             size_t batch_limit);
-  // One migration (caller holds repartition_mu_): tries the incremental
-  // per-cell path when eligible, else runs the full rebuild pipeline.
-  // `window_loads`, when given, are the monitor's per-interval load
-  // samples (stab DELTAS, not lifetime totals) for the generation with
-  // epoch `window_epoch` — the planner prefers them so a late-breaking
-  // query skew is not diluted by the generation's balanced history.
+  // One migration (caller holds repartition_mu_): plan → capture changed
+  // cells → cut the router and build changed shards → catch up → gated
+  // cutover → retire. `window_loads`, when given, are the monitor's
+  // per-interval load samples (stab DELTAS, not lifetime totals) for the
+  // generation with epoch `window_epoch` — the planner prefers them so a
+  // late-breaking query skew is not diluted by the generation's balanced
+  // history.
   void RepartitionLocked(int new_num_shards,
                          const std::vector<ShardLoad>* window_loads = nullptr,
                          uint64_t window_epoch = 0)
       REQUIRES(repartition_mu_);
-  // The per-cell path: plan → capture changed cells only → recut moved
-  // boundaries → carry/rebuild → gated cutover. Returns false (without
-  // migrating) when the plan is infeasible. Stab inputs come from
-  // `window_loads` when they match old_gen's epoch; a manual
-  // TriggerRepartition has no sampling window and falls back to the
-  // generation's cumulative stab totals (items are always read fresh
-  // from the authoritative mirrors).
-  bool TryIncrementalRepartitionLocked(
-      const std::shared_ptr<WriterGen>& old_gen,
-      const std::vector<ShardLoad>* window_loads, uint64_t window_epoch)
-      REQUIRES(repartition_mu_);
-  // The original whole-topology pipeline.
-  void FullRepartitionLocked(const std::shared_ptr<WriterGen>& old_gen,
-                             int n_new) REQUIRES(repartition_mu_);
   void MonitorLoop() EXCLUDES(monitor_mu_, repartition_mu_);
   // Builds the sharded-index options with the obs handles wired in
   // (called from the ctor init list — metrics_/journal_ are initialized
@@ -421,10 +421,10 @@ class ServeLoop {
   ShardedIndexOptions MakeIndexOptions();
   // Folds one completed migration into mig_ + the registry mirrors, all
   // under mig_mu_ (the single sequence point migration_stats() relies
-  // on), and emits the kMigrationRetire journal event.
-  void FinishMigration(uint64_t old_epoch, uint64_t new_epoch,
-                       int64_t moved_shards, int64_t carried_shards,
-                       int64_t moved_points, bool incremental)
+  // on), and emits the kMigrationRetire journal event. A migration that
+  // carried any shard counts as incremental.
+  void FinishMigration(uint64_t new_epoch, int64_t moved_shards,
+                       int64_t carried_shards, int64_t moved_points)
       EXCLUDES(mig_mu_);
   // True every obs.trace_sample_every-th direct query (false at rate 0).
   bool SampleThisQuery();

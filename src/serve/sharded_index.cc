@@ -381,44 +381,53 @@ ShardedVersionedIndex::ShardedVersionedIndex(IndexFactory factory,
     epoch_gauge_ = opts_.registry->GetGauge("serve_topology_epoch");
     shards_gauge_ = opts_.registry->GetGauge("serve_shards");
   }
-  PublishTopology(MakeTopology(factory_, build_opts_, opts_.versioned,
-                               data_name_, data.points, workload,
-                               std::max(1, opts_.num_shards), data.bounds,
-                               /*epoch=*/1, /*version_base=*/0));
+  ShardRouter router;
+  router.Build(data.points, opts_.num_shards, data.bounds, &workload);
+  PublishTopology(BuildTopology(
+      /*carry_from=*/nullptr, router,
+      std::vector<bool>(static_cast<size_t>(router.num_shards()), true),
+      data.points, workload, data.bounds, /*epoch=*/1));
 }
 
 ShardedVersionedIndex::~ShardedVersionedIndex() = default;
 
-std::shared_ptr<ShardTopology> ShardedVersionedIndex::MakeTopology(
-    const IndexFactory& factory, const BuildOptions& build_opts,
-    const VersionedIndexOptions& vopts, const std::string& data_name,
-    const std::vector<Point>& points, const Workload& workload,
-    int num_shards, const Rect& domain, uint64_t epoch,
-    uint64_t version_base) {
+std::shared_ptr<ShardTopology> ShardedVersionedIndex::BuildTopology(
+    const ShardTopology* carry_from, const ShardRouter& router,
+    const std::vector<bool>& changed, const std::vector<Point>& points,
+    const Workload& workload, const Rect& domain, uint64_t epoch) const {
+  const int n = router.num_shards();
   auto topo = std::make_shared<ShardTopology>();
   topo->epoch = epoch;
-  topo->version_base = version_base;
   topo->domain = domain;
-  const int n_shards = std::max(1, num_shards);
-  topo->router.Build(points, n_shards, domain, &workload);
-  const ShardRouter& router = topo->router;
+  topo->router = router;
 
-  std::vector<Dataset> shard_data(static_cast<size_t>(n_shards));
-  for (int s = 0; s < n_shards; ++s) {
+  // Route the points through the new cuts. They land in changed cells
+  // only: a carried cell's region did not move (the BuildMovedCuts
+  // carrying invariant).
+  const size_t num_changed = static_cast<size_t>(
+      std::count(changed.begin(), changed.begin() + n, true));
+  std::vector<Dataset> shard_data(static_cast<size_t>(n));
+  for (int s = 0; s < n; ++s) {
+    if (!changed[static_cast<size_t>(s)]) continue;
     Dataset& d = shard_data[static_cast<size_t>(s)];
-    d.name = data_name + "/e" + std::to_string(epoch) + "/shard" +
+    d.name = data_name_ + "/e" + std::to_string(epoch) + "/shard" +
              std::to_string(s);
     d.bounds = router.ClampedCellRect(s);
-    d.points.reserve(points.size() / static_cast<size_t>(n_shards) + 1);
+    d.points.reserve(points.size() / num_changed + 1);
   }
   for (const Point& p : points) {
-    shard_data[static_cast<size_t>(router.ShardOf(p))].points.push_back(p);
+    const int s = router.ShardOf(p);
+    assert(changed[static_cast<size_t>(s)] &&
+           "point routed into a carried cell");
+    shard_data[static_cast<size_t>(s)].points.push_back(p);
   }
 
   // Each shard trains on the workload it will actually see: the queries
-  // that overlap its cell, clipped to their per-shard sub-rectangles.
-  topo->shard_workloads.resize(static_cast<size_t>(n_shards));
-  for (int s = 0; s < n_shards; ++s) {
+  // that overlap its cell, clipped to their per-shard sub-rectangles
+  // (carried shards keep their index layout, but their rebuild-fallback
+  // slice tracks the recent workload).
+  topo->shard_workloads.resize(static_cast<size_t>(n));
+  for (int s = 0; s < n; ++s) {
     Workload& w = topo->shard_workloads[static_cast<size_t>(s)];
     w.name = workload.name + "/e" + std::to_string(epoch) + "/shard" +
              std::to_string(s);
@@ -430,92 +439,27 @@ std::shared_ptr<ShardTopology> ShardedVersionedIndex::MakeTopology(
     }
   }
 
-  topo->shards.reserve(static_cast<size_t>(n_shards));
-  for (int s = 0; s < n_shards; ++s) {
+  topo->shards.reserve(static_cast<size_t>(n));
+  for (int s = 0; s < n; ++s) {
+    if (!changed[static_cast<size_t>(s)]) {
+      // Carried: the live shard changes owners, untouched — no capture,
+      // no rebuild, no dual-write replay.
+      assert(carry_from != nullptr && "carried cell without a predecessor");
+      topo->shards.push_back(carry_from->shards[static_cast<size_t>(s)]);
+      continue;
+    }
     // Per-shard journal/metric attribution: the shard keeps this identity
-    // for its whole life, even if a later incremental migration carries it
-    // into a higher epoch.
-    VersionedIndexOptions shard_opts = vopts;
+    // for its whole life, even if a later migration carries it into a
+    // higher epoch.
+    VersionedIndexOptions shard_opts = opts_.versioned;
     shard_opts.shard_id = s;
     shard_opts.epoch = epoch;
     topo->shards.push_back(std::make_shared<VersionedIndex>(
-        factory, shard_data[static_cast<size_t>(s)],
-        topo->shard_workloads[static_cast<size_t>(s)], build_opts,
+        factory_, shard_data[static_cast<size_t>(s)],
+        topo->shard_workloads[static_cast<size_t>(s)], build_opts_,
         shard_opts));
   }
   return topo;
-}
-
-std::shared_ptr<ShardTopology> ShardedVersionedIndex::BuildIncrementalTopology(
-    const ShardTopology& old_topo, const ShardRouter& new_router,
-    const std::vector<bool>& changed, const std::vector<Point>& moved_points,
-    const Workload& workload, const Rect& domain, uint64_t epoch) const {
-  const int n = old_topo.num_shards();
-  auto topo = std::make_shared<ShardTopology>();
-  topo->epoch = epoch;
-  topo->version_base = 0;  // stamped by the coordinator after cutover
-  topo->domain = domain;
-  topo->router = new_router;
-
-  // Route the captured points of the changed cells through the NEW cuts.
-  // The carrying invariant (BuildMovedCuts) guarantees they land in
-  // changed cells again — a carried cell's region did not move.
-  std::vector<Dataset> shard_data(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    if (!changed[static_cast<size_t>(s)]) continue;
-    Dataset& d = shard_data[static_cast<size_t>(s)];
-    d.name = data_name_ + "/e" + std::to_string(epoch) + "/shard" +
-             std::to_string(s);
-    d.bounds = new_router.ClampedCellRect(s);
-  }
-  for (const Point& p : moved_points) {
-    const int s = new_router.ShardOf(p);
-    assert(changed[static_cast<size_t>(s)] &&
-           "moved point routed into a carried cell");
-    shard_data[static_cast<size_t>(s)].points.push_back(p);
-  }
-
-  // Fresh workload slices for every cell (carried shards keep their index
-  // layout but their rebuild-fallback slice tracks the recent workload).
-  topo->shard_workloads.resize(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    Workload& w = topo->shard_workloads[static_cast<size_t>(s)];
-    w.name = workload.name + "/e" + std::to_string(epoch) + "/shard" +
-             std::to_string(s);
-    w.selectivity = workload.selectivity;
-    const Rect cell = new_router.CellRect(s);
-    for (const Rect& q : workload.queries) {
-      const Rect sub = q.Intersect(cell);
-      if (!sub.empty()) w.queries.push_back(sub);
-    }
-  }
-
-  topo->shards.reserve(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    if (changed[static_cast<size_t>(s)]) {
-      VersionedIndexOptions shard_opts = opts_.versioned;
-      shard_opts.shard_id = s;
-      shard_opts.epoch = epoch;
-      topo->shards.push_back(std::make_shared<VersionedIndex>(
-          factory_, shard_data[static_cast<size_t>(s)],
-          topo->shard_workloads[static_cast<size_t>(s)], build_opts_,
-          shard_opts));
-    } else {
-      // Carried: the live shard changes owners, untouched — no capture,
-      // no rebuild, no dual-write replay.
-      topo->shards.push_back(old_topo.shards[static_cast<size_t>(s)]);
-    }
-  }
-  return topo;
-}
-
-std::shared_ptr<ShardTopology> ShardedVersionedIndex::BuildNextTopology(
-    const std::vector<Point>& points, const Workload& workload,
-    int num_shards, const Rect& domain, uint64_t epoch,
-    uint64_t version_base) const {
-  return MakeTopology(factory_, build_opts_, opts_.versioned, data_name_,
-                      points, workload, num_shards, domain, epoch,
-                      version_base);
 }
 
 void ShardedVersionedIndex::PublishTopology(

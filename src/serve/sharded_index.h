@@ -155,7 +155,7 @@ class ShardRouter {
 struct ShardedIndexOptions {
   int num_shards = 1;
   // Applied to every shard; the per-shard observability attribution
-  // (shard_id, epoch) is stamped by the topology builders, so callers set
+  // (shard_id, epoch) is stamped by BuildTopology, so callers set
   // only the shared fields (handles, stall deadline, track_points).
   VersionedIndexOptions versioned;
   // Optional metrics registry: when set, the facade publishes the current
@@ -233,7 +233,7 @@ struct ShardProjection {
 // of threads concurrently. Mutations go through shard(s)'s single-writer
 // API — one writer thread PER SHARD of the CURRENT topology (that is the
 // scaling point: per-shard writers make update throughput scale with
-// cores). BuildNextTopology may run on any thread; PublishTopology must be
+// cores). BuildTopology may run on any thread; PublishTopology must be
 // serialized by the caller (ServeLoop's repartition coordinator).
 class ShardedVersionedIndex {
  public:
@@ -255,30 +255,22 @@ class ShardedVersionedIndex {
     return topology_.Load();
   }
 
-  // Builds (but does not publish) the successor topology from `points` and
-  // `workload` with this facade's factory/build options: routes the points
-  // through a freshly cut router, builds every shard's VersionedIndex, and
-  // stamps `epoch`. Expensive — run it in the background while the current
-  // topology keeps serving. `domain` is the new generation's query domain.
-  std::shared_ptr<ShardTopology> BuildNextTopology(
-      const std::vector<Point>& points, const Workload& workload,
-      int num_shards, const Rect& domain, uint64_t epoch,
-      uint64_t version_base) const;
-
-  // The incremental sibling of BuildNextTopology: builds (but does not
-  // publish) a successor of `old_topo` with `new_router` (a BuildMovedCuts
-  // product over the same grid), CARRYING every shard with
-  // changed[s] == false (the successor references the same VersionedIndex)
-  // and rebuilding only the changed shards from `moved_points` (the union
-  // of the changed cells' captured point sets, routed through the new
-  // router). version_base starts at 0 — the migration coordinator stamps
-  // it after the old generation quiesces. Workload slices are recomputed
-  // for every cell from `workload`.
-  std::shared_ptr<ShardTopology> BuildIncrementalTopology(
-      const ShardTopology& old_topo, const ShardRouter& new_router,
-      const std::vector<bool>& changed,
-      const std::vector<Point>& moved_points, const Workload& workload,
-      const Rect& domain, uint64_t epoch) const;
+  // Builds (but does not publish) a topology over `router` with this
+  // facade's factory/build options. Every cell with changed[s] gets a
+  // fresh VersionedIndex built from the `points` routed into it; every
+  // other cell is CARRIED from `carry_from` (the successor references the
+  // same VersionedIndex). `points` must route into changed cells only,
+  // which holds when `router` is a BuildMovedCuts product of carry_from's
+  // router and `points` are the changed cells' captured sets. With every
+  // cell changed (the constructor, a full re-cut) `carry_from` may be
+  // null. Workload slices are recomputed for every cell from `workload`;
+  // version_base starts at 0 — the migration coordinator stamps it after
+  // the old generation quiesces. Expensive — run it in the background
+  // while the current topology keeps serving.
+  std::shared_ptr<ShardTopology> BuildTopology(
+      const ShardTopology* carry_from, const ShardRouter& router,
+      const std::vector<bool>& changed, const std::vector<Point>& points,
+      const Workload& workload, const Rect& domain, uint64_t epoch) const;
 
   // Atomically swaps the published topology. Readers acquire the new one
   // from here on; in-flight queries finish on whichever they pinned. The
@@ -429,14 +421,6 @@ class ShardedVersionedIndex {
   static const IndexSnapshot* SnapFor(
       const ShardTopology& topo, int s, const SnapshotSet* snaps,
       SnapshotRef* owned);
-
-  // Shared by the constructor and BuildNextTopology.
-  static std::shared_ptr<ShardTopology> MakeTopology(
-      const IndexFactory& factory, const BuildOptions& build_opts,
-      const VersionedIndexOptions& vopts, const std::string& data_name,
-      const std::vector<Point>& points, const Workload& workload,
-      int num_shards, const Rect& domain, uint64_t epoch,
-      uint64_t version_base);
 
   IndexFactory factory_;
   BuildOptions build_opts_;

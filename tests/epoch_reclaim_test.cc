@@ -359,9 +359,13 @@ TEST(EpochReclaimTest, StressAcrossForcedRepartitions) {
     for (int rep = 0; rep < kRepartitions; ++rep) {
       const auto old_topo = index.AcquireTopology();
       const int new_shards = 2 + (rep % 3);  // 2 -> 3 -> 4 -> 2 ...
-      auto next = index.BuildNextTopology(data.points, workload, new_shards,
-                                          old_topo->domain, old_topo->epoch + 1,
-                                          index.version());
+      ShardRouter router;
+      router.Build(data.points, new_shards, old_topo->domain, &workload);
+      auto next = index.BuildTopology(
+          /*carry_from=*/nullptr, router,
+          std::vector<bool>(static_cast<size_t>(new_shards), true),
+          data.points, workload, old_topo->domain, old_topo->epoch + 1);
+      next->version_base = index.version();
       index.PublishTopology(std::move(next));
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       ExpectAccounting(domain);

@@ -1,7 +1,8 @@
 // Serve-stack observability integration: the registry and journal wired
 // through ServeLoop must tell the SAME story as the legacy *_stats()
-// views, and a forced repartition must leave a complete, ordered
-// plan -> capture -> catch_up -> cutover -> retire trail in the journal.
+// views, and a forced repartition — full re-cut or per-cell — must leave
+// a complete, ordered plan -> capture -> catch_up -> cutover -> retire
+// trail in the journal.
 
 #include <gtest/gtest.h>
 
@@ -39,19 +40,46 @@ std::vector<obs::TraceEvent> EventsOfKind(const obs::TraceJournal& journal,
   return out;
 }
 
-TEST(ObsServeTest, ForcedRepartitionEmitsFullMigrationSequence) {
-  TestScenario s = MakeScenario(Region::kNewYork, 3000, 60, 2e-3, 401);
+// The two plan shapes every migration takes through the one pipeline: a
+// shard-count change re-cuts every cell (nothing carried), and a skewed
+// same-count stripe tiling re-cuts only the overloaded stripe's
+// neighbourhood (the rest carried).
+enum class PlanShape { kCountChange, kPerCell };
+
+class ObsMigrationTest : public ::testing::TestWithParam<PlanShape> {};
+
+TEST_P(ObsMigrationTest, ForcedRepartitionEmitsFullMigrationSequence) {
+  const bool per_cell = GetParam() == PlanShape::kPerCell;
+  TestScenario s = per_cell
+                       ? MakeScenario(Region::kCaliNev, 5000, 120, 2e-3, 306)
+                       : MakeScenario(Region::kNewYork, 3000, 60, 2e-3, 401);
   s.data = DedupeCoords(s.data);
 
   ServeOptions opts;
-  opts.num_shards = 2;
+  opts.num_shards = per_cell ? 5 : 2;  // 5: 1x5 rank-space stripes
   opts.num_threads = 1;
   opts.auto_rebuild = false;
   ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(), opts);
 
-  // A shard-count change can never be incremental, so this exercises the
-  // FULL pipeline deterministically: every new shard rebuilt, none carried.
-  ASSERT_TRUE(loop.TriggerRepartition(4));
+  size_t total_points = s.data.points.size();
+  if (per_cell) {
+    // Overload stripe 0 inside its own cell: only cuts near it move.
+    const Rect cell0 =
+        loop.sharded_index().AcquireTopology()->router.ClampedCellRect(0);
+    Rng rng(7777);
+    for (int i = 0; i < 1000; ++i) {
+      Point p;
+      p.x = cell0.min_x + rng.NextDouble() * (cell0.max_x - cell0.min_x);
+      p.y = cell0.min_y + rng.NextDouble() * (cell0.max_y - cell0.min_y);
+      p.id = 70000000 + i;
+      loop.SubmitInsert(p);
+    }
+    loop.Flush();
+    total_points += 1000;
+    ASSERT_TRUE(loop.TriggerRepartition());
+  } else {
+    ASSERT_TRUE(loop.TriggerRepartition(4));
+  }
 
   // Collect the migration events in journal order and check the phase
   // machine ran end to end, in order, on one target epoch.
@@ -84,29 +112,48 @@ TEST(ObsServeTest, ForcedRepartitionEmitsFullMigrationSequence) {
   for (size_t i = 1; i < mig.size(); ++i) {
     EXPECT_GE(mig[i].t_ns, mig[i - 1].t_ns);
   }
-  // A forced full repartition rebuilds every shard, carries none.
-  EXPECT_EQ(mig[0].a, 4);  // plan: shards to rebuild
-  EXPECT_EQ(mig[0].b, 0);  // plan: carried
-  EXPECT_EQ(mig[0].c, 0);  // plan: not incremental
-  EXPECT_EQ(mig[1].a, static_cast<int64_t>(s.data.points.size()));
-  EXPECT_EQ(mig[4].a, 4);  // retire: rebuilt
-  EXPECT_EQ(mig[4].b, 0);  // retire: carried
-  EXPECT_EQ(mig[4].c, static_cast<int64_t>(s.data.points.size()));
+  const int64_t moved_points = mig[1].a;  // capture: points captured
+  if (per_cell) {
+    // Some cells rebuilt, the rest carried; only changed cells captured.
+    EXPECT_GT(mig[0].a, 0);            // plan: shards to rebuild
+    EXPECT_GT(mig[0].b, 0);            // plan: carried
+    EXPECT_EQ(mig[0].a + mig[0].b, 5);
+    EXPECT_EQ(mig[0].c, 1);            // plan: incremental (carried > 0)
+    EXPECT_LT(moved_points, static_cast<int64_t>(total_points));
+  } else {
+    // A count change rebuilds every shard, carries none.
+    EXPECT_EQ(mig[0].a, 4);  // plan: shards to rebuild
+    EXPECT_EQ(mig[0].b, 0);  // plan: carried
+    EXPECT_EQ(mig[0].c, 0);  // plan: not incremental
+    EXPECT_EQ(moved_points, static_cast<int64_t>(total_points));
+  }
+  EXPECT_EQ(mig[4].a, mig[0].a);  // retire: rebuilt
+  EXPECT_EQ(mig[4].b, mig[0].b);  // retire: carried
+  EXPECT_EQ(mig[4].c, moved_points);
 
   // The registry agrees with the stats view and the journal.
   const obs::MetricsSnapshot snap = loop.metrics().Snapshot();
   EXPECT_EQ(snap.CounterValue("serve_migrations_total"), 1);
-  EXPECT_EQ(snap.CounterValue("serve_migrations_incremental_total"), 0);
-  EXPECT_EQ(snap.CounterValue("serve_moved_points_total"),
-            static_cast<int64_t>(s.data.points.size()));
-  EXPECT_EQ(snap.GaugeValue("serve_last_moved_shards"), 4);
-  EXPECT_EQ(snap.GaugeValue("serve_last_carried_shards"), 0);
+  EXPECT_EQ(snap.CounterValue("serve_migrations_incremental_total"),
+            mig[0].c);
+  EXPECT_EQ(snap.CounterValue("serve_moved_points_total"), moved_points);
+  EXPECT_EQ(snap.GaugeValue("serve_last_moved_shards"), mig[0].a);
+  EXPECT_EQ(snap.GaugeValue("serve_last_carried_shards"), mig[0].b);
   const MigrationStats stats = loop.migration_stats();
   EXPECT_EQ(stats.migrations, 1);
   EXPECT_EQ(stats.migrations, loop.repartitions());
+  EXPECT_EQ(stats.incremental, mig[0].c);
   EXPECT_EQ(stats.total_moved_points,
             snap.CounterValue("serve_moved_points_total"));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PlanShapes, ObsMigrationTest,
+    ::testing::Values(PlanShape::kCountChange, PlanShape::kPerCell),
+    [](const ::testing::TestParamInfo<PlanShape>& info) {
+      return info.param == PlanShape::kPerCell ? std::string("PerCell")
+                                               : std::string("CountChange");
+    });
 
 TEST(ObsServeTest, StatsViewsMirrorRegistryCounters) {
   TestScenario s = MakeScenario(Region::kJapan, 2000, 40, 2e-3, 402);

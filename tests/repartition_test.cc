@@ -610,6 +610,27 @@ TEST(RepartitionTest, IncrementalMigrationCarriesUnchangedShards) {
     }
   }
 
+  // An explicit count — even the current one — is the full re-level:
+  // every cell re-cut and rebuilt fresh, nothing carried, membership
+  // still exact.
+  ASSERT_TRUE(loop.TriggerRepartition(loop.num_shards()));
+  EXPECT_EQ(loop.num_shards(), 5);
+  EXPECT_EQ(loop.migration_stats().last_moved_shards, 5);
+  EXPECT_EQ(loop.migration_stats().last_carried_shards, 0);
+  EXPECT_EQ(loop.migration_stats().last_moved_points,
+            static_cast<int64_t>(expected.size()));
+  const std::shared_ptr<ShardTopology> topo3 =
+      loop.sharded_index().AcquireTopology();
+  for (int sh = 0; sh < 5; ++sh) {
+    for (int prev = 0; prev < 5; ++prev) {
+      EXPECT_NE(topo3->shards[static_cast<size_t>(sh)].get(),
+                topo2->shards[static_cast<size_t>(prev)].get())
+          << "shard " << sh << " was carried by a full re-cut";
+    }
+  }
+  EXPECT_EQ(SortedIds(loop.Range(s.data.bounds).hits),
+            BruteIds(expected, s.data.bounds));
+
   // A shard-count change can never be incremental: the full pipeline
   // runs (nothing carried), and membership stays exact.
   const int64_t incremental_before = loop.migration_stats().incremental;

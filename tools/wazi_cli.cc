@@ -12,8 +12,7 @@
 //   wazi_cli throughput --threads 4 --shards 4 --mix 95r/5w --n 200000
 //                       --seconds 3 [--region CaliNev --index wazi
 //                        --queries 2000 --selectivity 0.0256%
-//                        --repartition 0|1 --incremental 0|1
-//                        --auto-shards 0|1 --cache-mb 64
+//                        --repartition 0|1 --auto-shards 0|1 --cache-mb 64
 //                        --admission-window 200
 //                        --stats-json out.json --trace-dump 50
 //                        --trace-sample 100]
@@ -27,10 +26,10 @@
 // per-shard snapshots while writes stream through each shard's own
 // background writer, and the command reports QPS plus latency percentiles.
 // `--repartition 1` additionally enables the topology monitor, which
-// re-cuts the shard map via a live migration when the load skews;
-// `--incremental 1` (default) lets those migrations move only the cells
-// whose cuts changed, carrying the rest, and `--auto-shards 1` lets the
-// monitor grow/shrink the shard count (hot queues / idle slivers).
+// re-cuts the shard map via a live migration when the load skews (only
+// the cells whose cuts change move; the rest are carried), and
+// `--auto-shards 1` lets the monitor grow/shrink the shard count (hot
+// queues / idle slivers).
 // `--cache-mb N` turns on the snapshot-stamped result cache (reads are
 // then drawn skewed, 90% from the hottest 10% of queries, so the cache
 // has a hot set to hold); `--admission-window US` routes reads through
@@ -433,9 +432,8 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
   sopts.num_shards = shards;
   sopts.num_threads = 1;  // client threads below execute queries themselves
   sopts.repartition.enabled = FlagOr(flags, "repartition", "0") == "1";
-  // Per-cell migrations (carry unchanged shards) and monitor-driven
-  // shard-count auto-tuning; both only matter with --repartition 1.
-  sopts.repartition.incremental = FlagOr(flags, "incremental", "1") == "1";
+  // Monitor-driven shard-count auto-tuning; only matters with
+  // --repartition 1.
   sopts.repartition.auto_shard_count =
       FlagOr(flags, "auto-shards", "0") == "1";
   sopts.cache.capacity_bytes = static_cast<size_t>(cache_mb) * 1024 * 1024;
