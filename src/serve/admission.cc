@@ -78,8 +78,8 @@ std::future<QueryResult> AdmissionQueue::Submit(const QueryRequest& request) {
       admitted_ctr_->Add(1);
     }
     // Wake the dispatcher on new work (empty -> non-empty) or a full
-    // batch; arrivals in between land in its linger window without a
-    // futex wake each.
+    // batch; arrivals in between are taken (without a futex wake each)
+    // when the dispatcher next drains the queue.
     notify = pending_.size() == 1 || pending_.size() >= opts_.batch_limit;
   }
   if (notify) cv_.NotifyOne();
@@ -171,10 +171,10 @@ void AdmissionQueue::DispatcherLoop() {
       if (stop_) return;  // drained
       continue;
     }
-    // Linger for the batch to fill — bounded by window_us from the moment
-    // the first query was picked up, so co-batching can never add more
-    // than ~window_us of latency. Skipped when stopping (drain fast) or
-    // already full.
+    // With a window set, linger for the batch to fill — bounded by
+    // window_us from the moment the first query was picked up. Skipped by
+    // default (window 0: take what is pending now), when stopping (drain
+    // fast) or when already full.
     if (opts_.window_us > 0 && !stop_ &&
         pending_.size() < opts_.batch_limit) {
       const auto deadline = std::chrono::steady_clock::now() +

@@ -12,10 +12,9 @@
 // batches:
 //
 //   client ──Submit()──► pending queue ──► dispatcher thread
-//                                            │  waits until the batch
-//                                            │  fills (batch_limit) or the
-//                                            │  oldest query has waited
-//                                            │  window_us
+//                                            │  takes what is pending
+//                                            │  when it wakes (up to
+//                                            │  batch_limit)
 //                                            ▼
 //                                          group by query type
 //                                            ▼
@@ -33,10 +32,13 @@
 // so each worker block runs a homogeneous instruction stream; results are
 // scattered back to the submission order through the clients' futures.
 //
-// `window_us` bounds the extra latency a query can pay for co-batching:
-// a query never waits longer than ~window_us beyond its own execution,
-// and a batch that fills to `batch_limit` dispatches immediately. 0 keeps
-// admission but disables the linger (dispatch whatever has queued).
+// Batches form by dispatching when idle: a query submitted to an idle
+// dispatcher runs at once as a batch of one, and the queries that arrive
+// while a batch executes form the next batch. Under load the batch size
+// therefore follows the arrival rate times the execution time, with no
+// linger to pay for it. `window_us` > 0 adds a linger: the dispatcher
+// waits up to that long for a batch to fill to `batch_limit` — trading
+// up to ~window_us of latency per query for larger batches.
 //
 // Thread-safety: Submit/SubmitBatch from any number of threads. Stop (or
 // destruction) drains every pending query before returning — no future is
@@ -65,9 +67,10 @@ struct AdmissionOptions {
   // waiting out the window.
   size_t batch_limit = 64;
   // Max time the dispatcher lingers for a batch to fill, measured from
-  // when it picks up the first pending query — the co-batching latency
-  // bound. 0 dispatches whatever has accumulated, immediately.
-  int64_t window_us = 200;
+  // when it picks up the first pending query. 0 (the default) dispatches
+  // whatever is pending when the dispatcher is idle; set > 0 only to
+  // trade latency for larger batches.
+  int64_t window_us = 0;
 };
 
 // Monotone counters. stats() returns a mutually CONSISTENT snapshot:

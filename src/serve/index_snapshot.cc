@@ -22,8 +22,10 @@ VersionedIndex::VersionedIndex(IndexFactory factory, const Dataset& data,
   }
   // relaxed: single-threaded construction; the count is a statistic.
   num_points_.store(data_.points.size(), std::memory_order_relaxed);
-  epoch_domain_ = opts_.epoch_domain != nullptr ? opts_.epoch_domain
-                                          : &EpochDomain::Global();
+  if (opts_.epoch_domain == nullptr) {
+    opts_.epoch_domain = &EpochDomain::Global();
+  }
+  if (opts_.publish_history) history_ = std::make_unique<PublishHistory>();
   for (int s = 0; s < 2; ++s) {
     inst_[s] = factory_();
     inst_[s]->Build(data_, last_workload_, build_opts_);
@@ -31,7 +33,7 @@ VersionedIndex::VersionedIndex(IndexFactory factory, const Dataset& data,
   }
   supports_updates_ = inst_[0]->SupportsUpdates();
   live_slot_ = 1;   // so the first publish flips to slot 0
-  PublishShadow();  // version 1 goes live on inst_[0]
+  PublishShadow(/*ops=*/nullptr);  // version 1 goes live on inst_[0]
   // Both instances were built from the same data, so the unpublished one
   // is just as current as the published one.
   applied_through_[1] = version_.load(std::memory_order_relaxed);
@@ -49,20 +51,20 @@ VersionedIndex::~VersionedIndex() {
   // drop a whole shard generation without deadlocking on its own guard.
   const IndexSnapshot* live = live_.exchange(nullptr, std::memory_order_seq_cst);
   if (live != nullptr) {
-    epoch_domain_->Retire(std::unique_ptr<const IndexSnapshot>(live));
+    opts_.epoch_domain->Retire(std::unique_ptr<const IndexSnapshot>(live));
   }
   for (int s = 0; s < 2; ++s) {
-    epoch_domain_->Retire(std::move(inst_[s]));
+    opts_.epoch_domain->Retire(std::move(inst_[s]));
   }
   for (ZombieInstance& z : zombies_) {
-    epoch_domain_->Retire(std::move(z.index));
+    opts_.epoch_domain->Retire(std::move(z.index));
   }
   if (opts_.zombie_gauge != nullptr && !zombies_.empty()) {
     opts_.zombie_gauge->Add(-static_cast<int64_t>(zombies_.size()));
   }
   // Free whatever is already unreachable so short-lived indexes (tests,
   // benches) do not pile limbo onto the global domain.
-  epoch_domain_->Reclaim();
+  opts_.epoch_domain->Reclaim();
 }
 
 void VersionedIndex::ApplyBatch(const std::vector<UpdateOp>& ops) {
@@ -81,7 +83,7 @@ void VersionedIndex::ApplyBatch(const std::vector<UpdateOp>& ops) {
     // Static index: re-level the shadow from the authoritative point set.
     shadow->Build(data_, last_workload_, build_opts_);
   }
-  PublishShadow();
+  PublishShadow(&effective);
 }
 
 std::vector<UpdateOp> VersionedIndex::SanitizeOps(
@@ -127,7 +129,7 @@ void VersionedIndex::Rebuild(const Workload& workload) {
   // data_ on its next acquisition instead of replaying.
   last_rebuild_version_ = version_.load(std::memory_order_relaxed) + 1;
   recent_batches_.clear();
-  PublishShadow();
+  PublishShadow(/*ops=*/nullptr);
 }
 
 SpatialIndex* VersionedIndex::AcquireShadow(bool catch_up) {
@@ -151,7 +153,7 @@ SpatialIndex* VersionedIndex::AcquireShadow(bool catch_up) {
   // drain flag — a true read means the last reader is provably gone and
   // the instance is safe to mutate.
   while (!drained_[shadow_slot]->load(std::memory_order_acquire)) {
-    epoch_domain_->Reclaim();
+    opts_.epoch_domain->Reclaim();
     if (drained_[shadow_slot]->load(std::memory_order_acquire)) break;
     if (bounded && std::chrono::steady_clock::now() >= deadline) {
       stalled = true;
@@ -234,10 +236,48 @@ void VersionedIndex::ReapZombies() {
   }
 }
 
-void VersionedIndex::PublishShadow() {
+bool VersionedIndex::UnchangedWithin(const Rect& rect, uint64_t a,
+                                     uint64_t b) const {
+  const uint64_t lo = std::min(a, b);
+  const uint64_t hi = std::max(a, b);
+  if (lo == hi) return true;
+  if (history_ == nullptr) return false;
+  if (hi - lo > kPublishHistoryDepth) return false;  // gap outgrew the ring
+  MutexLock lock(&history_->mu);
+  for (uint64_t v = lo + 1; v <= hi; ++v) {
+    const PublishRecord& r = history_->ring[v % kPublishHistoryDepth];
+    // A slot holding another version means publish v was overwritten
+    // (the ring moved past it): the gap is no longer covered.
+    if (r.version != v || r.everything) return false;
+    if (!rect.Overlaps(r.bounds)) continue;
+    for (const Point& p : r.points) {
+      if (rect.Contains(p)) return false;
+    }
+  }
+  return true;
+}
+
+void VersionedIndex::PublishShadow(const std::vector<UpdateOp>* ops) {
   const int shadow_slot = 1 - live_slot_;
   // relaxed: single-writer read of our own version counter.
   const uint64_t v = version_.load(std::memory_order_relaxed) + 1;
+  if (history_ != nullptr) {
+    // Recorded before the version becomes visible, so a reader that
+    // observes v (or a snapshot at v) finds its record. The positions
+    // are gathered off the lock; the replaced record frees after it.
+    PublishRecord record;
+    record.version = v;
+    record.everything = ops == nullptr;
+    if (ops != nullptr) {
+      record.points.reserve(ops->size());
+      for (const UpdateOp& op : *ops) {
+        record.points.push_back(op.point);
+        record.bounds.Expand(op.point);
+      }
+    }
+    MutexLock lock(&history_->mu);
+    std::swap(history_->ring[v % kPublishHistoryDepth], record);
+  }
   std::shared_ptr<const std::vector<Point>> pts;
   if (opts_.track_points) {
     pts = std::make_shared<const std::vector<Point>>(data_.points);
@@ -261,7 +301,7 @@ void VersionedIndex::PublishShadow() {
   const IndexSnapshot* old =
       live_.exchange(snap.release(), std::memory_order_seq_cst);
   if (old != nullptr) {
-    epoch_domain_->Retire(std::unique_ptr<const IndexSnapshot>(old));
+    opts_.epoch_domain->Retire(std::unique_ptr<const IndexSnapshot>(old));
   }
   live_slot_ = shadow_slot;
   if (opts_.publish_counter != nullptr) opts_.publish_counter->Add(1);

@@ -36,6 +36,7 @@
 #ifndef WAZI_SERVE_INDEX_SNAPSHOT_H_
 #define WAZI_SERVE_INDEX_SNAPSHOT_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -211,6 +212,11 @@ struct VersionedIndexOptions {
   // When true, every snapshot carries an immutable copy of the point set
   // it serves (O(n) copy per publish — testing/verification only).
   bool track_points = false;
+  // Keep the publish history UnchangedWithin reads (the result cache's
+  // rect-precise revalidation). ServeLoop sets it iff its cache is
+  // enabled; off, publishes record nothing and UnchangedWithin answers
+  // false for any version gap.
+  bool publish_history = false;
   // Copy-on-stall deadline: how long the writer waits for a retired
   // snapshot to drain before it stops waiting, retires the parked
   // instance (readers keep it until their snapshot releases) and builds a
@@ -234,8 +240,9 @@ struct VersionedIndexOptions {
   int shard_id = -1;
   uint64_t epoch = 0;
   // Reclamation domain for retired snapshots/instances. Defaults to the
-  // process-wide EpochDomain::Global(); tests inject a private domain for
-  // exact limbo accounting.
+  // process-wide EpochDomain::Global() (VersionedIndex resolves null to it
+  // at construction); tests inject a private domain for exact limbo
+  // accounting.
   EpochDomain* epoch_domain = nullptr;
 };
 
@@ -260,7 +267,7 @@ class VersionedIndex {
   // refcount RMW. The stamp must land before the pointer load (see
   // serve/epoch.h for the ordering argument).
   SnapshotRef Acquire() const {
-    EpochDomain::Guard guard = epoch_domain_->Enter();
+    EpochDomain::Guard guard = opts_.epoch_domain->Enter();
     return SnapshotRef(live_.load(std::memory_order_seq_cst),
                        std::move(guard));
   }
@@ -271,6 +278,18 @@ class VersionedIndex {
 
   // Query-domain rectangle (immutable after construction; safe anywhere).
   const Rect& domain() const { return domain_; }
+
+  // Publishes the history keeps (when publish_history is on).
+  static constexpr uint64_t kPublishHistoryDepth = 64;
+
+  // True iff no publish with a version in (min(a, b), max(a, b)] can have
+  // changed the result of a range query over `rect` (closed): the history
+  // still holds every such publish, none was a rebuild, and none of their
+  // ops' points lies inside `rect`. False when the history is off or no
+  // longer reaches back that far. Any thread; a and b must be versions
+  // this index has published (e.g. read through version() or a
+  // snapshot).
+  bool UnchangedWithin(const Rect& rect, uint64_t a, uint64_t b) const;
 
   // --- single-writer API ---
 
@@ -304,11 +323,11 @@ class VersionedIndex {
   // would hold its O(shard) duplicate until destruction. Writer thread
   // only. Cheap when there is nothing to do.
   void ReapRetired() {
-    epoch_domain_->Reclaim();
+    opts_.epoch_domain->Reclaim();
     ReapZombies();
   }
   // The reclamation domain this index retires into.
-  EpochDomain* epoch_domain() const { return epoch_domain_; }
+  EpochDomain* epoch_domain() const { return opts_.epoch_domain; }
   // Authoritative state, writer thread only.
   const Dataset& data() const { return data_; }
 
@@ -329,8 +348,10 @@ class VersionedIndex {
   SpatialIndex* AcquireShadow(bool catch_up = true);
   // Destroys every retired instance whose snapshot has drained.
   void ReapZombies();
-  // Wraps the shadow in a new snapshot and swaps it live.
-  void PublishShadow();
+  // Wraps the shadow in a new snapshot and swaps it live. `ops` are the
+  // batch's effective ops for the publish history; nullptr records the
+  // publish as changing everything (a build or rebuild).
+  void PublishShadow(const std::vector<UpdateOp>* ops);
   // Drops ops that would desynchronize the id-keyed authoritative set from
   // the coordinate-keyed index instances: duplicate-id inserts, removes of
   // absent ids, removes with stale coordinates.
@@ -363,11 +384,27 @@ class VersionedIndex {
 
   std::atomic<size_t> num_points_{0};  // mirror of data_.points.size()
   std::atomic<uint64_t> version_{0};
-  EpochDomain* epoch_domain_ = nullptr;  // resolved from opts_ at construction
   // The publication slot. Raw pointer + epoch reclamation: the pointed-to
   // snapshot is owned by whichever of {this, the domain's limbo list}
   // currently holds it, never by readers.
   std::atomic<const IndexSnapshot*> live_{nullptr};
+
+  // One publish as UnchangedWithin sees it.
+  struct PublishRecord {
+    uint64_t version = 0;     // 0 = slot never written
+    bool everything = false;  // a build/rebuild: any rect may have changed
+    Rect bounds;              // bounding box of `points` (early-out)
+    std::vector<Point> points;  // every op's position
+  };
+  // Ring of the last kPublishHistoryDepth publishes, slot = version %
+  // depth. Written by the writer before the version it records becomes
+  // visible, read by any thread.
+  struct PublishHistory {
+    Mutex mu;
+    std::array<PublishRecord, kPublishHistoryDepth> ring GUARDED_BY(mu);
+  };
+  // Set at construction iff opts_.publish_history, never reseated.
+  std::unique_ptr<PublishHistory> history_;
 };
 
 }  // namespace wazi::serve

@@ -52,6 +52,7 @@ ResultCache::ResultCache(ResultCacheOptions opts,
   hits_ = registry->GetCounter("serve_cache_hits_total");
   misses_ = registry->GetCounter("serve_cache_misses_total");
   invalidations_ = registry->GetCounter("serve_cache_invalidations_total");
+  revalidations_ = registry->GetCounter("serve_cache_revalidations_total");
   insertions_ = registry->GetCounter("serve_cache_insertions_total");
   evictions_ = registry->GetCounter("serve_cache_evictions_total");
   bytes_gauge_ = registry->GetGauge("serve_cache_bytes");
@@ -68,23 +69,38 @@ ResultCache::Segment& ResultCache::SegmentFor(const Key& key) {
   return *segments_[KeyHash{}(key) % segments_.size()];
 }
 
-bool ResultCache::StampValid(
-    const Entry& e, const ShardTopology& topo,
-    const ShardedVersionedIndex::SnapshotSet* snaps) {
+ResultCache::Stamp ResultCache::StampValid(
+    Entry* e, const ShardTopology& topo,
+    const ShardedVersionedIndex::SnapshotSet* snaps, uint64_t* mass) {
   // A different epoch means a different router: cells moved, so the
   // touched-shard argument (header) no longer covers the query.
-  if (e.epoch != topo.epoch) return false;
-  for (const auto& [shard, version] : e.shard_versions) {
+  if (e->epoch != topo.epoch) return Stamp::kStale;
+  Stamp result = Stamp::kExact;
+  uint64_t sum = 0;
+  for (auto& [shard, version] : e->shard_versions) {
     if (shard < 0 || shard >= topo.num_shards()) {
-      return false;  // defensive; an epoch pins its shard count
+      return Stamp::kStale;  // defensive; an epoch pins its shard count
     }
-    // Versions are bumped on every publish, so version equality means the
-    // shard still serves the exact snapshot the entry was computed on.
     const uint64_t now = snaps != nullptr ? snaps->shard_version(shard)
                                           : topo.shard_version(shard);
-    if (now != version) return false;
+    sum += now;
+    // Versions are bumped on every publish, so version equality means the
+    // shard still serves the exact snapshot the entry was computed on.
+    if (now == version) continue;
+    // Otherwise the result still holds iff no op published between the
+    // two versions (either order) lies inside the rect.
+    if (!topo.shards[static_cast<size_t>(shard)]->UnchangedWithin(
+            e->rect, version, now)) {
+      return Stamp::kStale;  // the caller erases the entry
+    }
+    // Restamp forward only (to the version just checked): a probe pinned
+    // to older snapshots proves the entry for its own context without
+    // moving the stamp back.
+    version = std::max(version, now);
+    result = Stamp::kRevalidated;
   }
-  return true;
+  *mass = sum;
+  return result;
 }
 
 bool ResultCache::Lookup(const Rect& query, const ShardTopology& topo,
@@ -103,7 +119,8 @@ bool ResultCache::Lookup(const Rect& query, const ShardTopology& topo,
       return false;
     }
     Entry& entry = *it->second;
-    if (!StampValid(entry, topo, snaps)) {
+    const Stamp stamp = StampValid(&entry, topo, snaps, &mass);
+    if (stamp == Stamp::kStale) {
       // Stale: the world moved under it. Erase so the slot is not probed
       // (and re-invalidated) forever, and let the caller re-execute.
       seg.bytes -= entry.bytes;
@@ -113,13 +130,13 @@ bool ResultCache::Lookup(const Rect& query, const ShardTopology& topo,
       invalidations_->Add(1);
       return false;
     }
+    if (stamp == Stamp::kRevalidated) revalidations_->Add(1);
     // Touch: move to the front of the LRU list (splice keeps iterators in
     // seg.map valid), grab the payload, and get OFF the segment mutex —
     // every probe of a hot rect lands on this one segment, so the
     // O(result) copy below must not serialize them.
     seg.lru.splice(seg.lru.begin(), seg.lru, it->second);
     payload = entry.hits;
-    for (const auto& [shard, version] : entry.shard_versions) mass += version;
   }
   // The shared_ptr keeps the payload alive even if the entry is evicted
   // or refreshed concurrently; the vector it points to is immutable.
@@ -139,6 +156,7 @@ void ResultCache::Insert(const Rect& query, const std::vector<Point>& hits,
 
   Entry entry;
   entry.key = KeyOf(query);
+  entry.rect = query;
   entry.hits = std::make_shared<const std::vector<Point>>(hits);
   entry.epoch = epoch;
   entry.shard_versions.reserve(parts.size());
@@ -201,6 +219,7 @@ ResultCacheStats ResultCache::stats() const {
   s.hits = hits_->value();
   s.misses = misses_->value();
   s.invalidations = invalidations_->value();
+  s.revalidations = revalidations_->value();
   s.insertions = insertions_->value();
   s.evictions = evictions_->value();
   for (const auto& seg : segments_) {

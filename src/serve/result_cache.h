@@ -12,29 +12,39 @@
 //
 // An entry is served only while its stamp still describes the present:
 // the probe re-checks the stamp against the topology/snapshots the caller
-// is about to execute on, and any mismatch (a shard published a new
-// snapshot, or a repartition bumped the epoch) makes the entry invalid.
-// There are no invalidation hooks anywhere in the write path — writers
-// and migrations already version everything they touch, so staleness
+// is about to execute on. There are no invalidation hooks anywhere in the
+// write path — writers and migrations already version everything they
+// touch, and each shard keeps a short history of what its recent
+// publishes changed (VersionedIndex::UnchangedWithin), so staleness
 // detection falls out of the existing versioning:
 //
-//   * per-shard snapshot swap  -> that shard's version changed    -> miss
 //   * topology swap (cutover)  -> the epoch changed               -> miss
+//   * per-shard snapshot swap  -> that shard's version changed: ask the
+//     shard whether any op published between the stamped and the probed
+//     version lies inside the query rect. None -> hit (a revalidation);
+//     one, a drift rebuild, or a gap the history no longer covers -> miss
 //   * mid-migration            -> queries pin an epoch; the entry is
 //     valid for the pinned generation or for neither
 //
-// Why stamping only the TOUCHED shards is sound: within one topology,
-// routing is a pure function of coordinates, so a point that routes into
-// a shard whose cell does not overlap the query rectangle can never be a
-// result of that query. Any update that could change the result must land
-// in a touched shard and bump its version. Across topologies no such
-// argument holds (cells move), which is why the epoch is part of the
-// stamp.
+// Why this is sound: within one topology, routing is a pure function of
+// coordinates, so a point that routes into a shard whose cell does not
+// overlap the query rectangle can never be a result of that query; any
+// update that could change the result must land in a touched shard and
+// bump its version. Finer still, an insert or remove changes a range
+// result only if its point lies inside the (closed) rectangle, so a
+// touched shard whose intervening ops all lie outside it serves the same
+// result at both versions. The check runs in both directions: a batch
+// pinned to snapshots OLDER than the stamp validates the publishes between
+// them just the same. A successful forward check restamps the entry to
+// the probed versions under the segment lock, so each publish record is
+// examined at most once per entry. Across topologies no such argument
+// holds (cells move), which is why the epoch is part of the stamp.
 //
 // Structure: N independent cache shards (key-hashed) each holding an LRU
 // list + hash map under its own mutex, so concurrent clients probing
 // different keys rarely contend. Capacity is bytes of cached result
-// payload; eviction is per-cache-shard LRU. Thread-safe throughout.
+// payload; eviction is per-cache-shard LRU. Thread-safe throughout. Lock
+// order: a segment mutex, then (inside the probe) a shard's history mutex.
 
 #ifndef WAZI_SERVE_RESULT_CACHE_H_
 #define WAZI_SERVE_RESULT_CACHE_H_
@@ -68,6 +78,9 @@ struct ResultCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;         // absent key
   int64_t invalidations = 0;  // present but stamp-stale (counts as a miss)
+  // Hits served across a version change because no op published in
+  // between touched the rect (also counted in `hits`).
+  int64_t revalidations = 0;
   int64_t insertions = 0;
   int64_t evictions = 0;
   size_t size_bytes = 0;
@@ -99,10 +112,11 @@ class ResultCache {
   // when non-null, `snaps` (a SnapshotSet of that same topology): with
   // `snaps` the versions checked are the pre-acquired snapshots' (the
   // exact instances the caller would execute on), otherwise each touched
-  // shard's live published version. On a valid hit appends the cached
-  // points to `out`, adds the stamped version mass to `*version_mass`
-  // (when non-null) and returns true. A stale entry is erased and counts
-  // as `invalidations`.
+  // shard's live published version. A touched shard whose version moved
+  // is revalidated through its publish history (file header). On a valid
+  // hit appends the cached points to `out`, stores the validated
+  // versions' mass in `*version_mass` (when non-null) and returns true. A
+  // stale entry is erased and counts as `invalidations`.
   bool Lookup(const Rect& query, const ShardTopology& topo,
               const ShardedVersionedIndex::SnapshotSet* snaps,
               std::vector<Point>* out, uint64_t* version_mass = nullptr);
@@ -136,6 +150,7 @@ class ResultCache {
   };
   struct Entry {
     Key key;
+    Rect rect;  // the query rectangle the history check tests ops against
     // shared_ptr so a hit can hand the payload out of the segment lock
     // and copy it into the caller's vector WITHOUT holding the mutex —
     // identical hot rects all land in one segment, so an under-lock copy
@@ -143,7 +158,8 @@ class ResultCache {
     std::shared_ptr<const std::vector<Point>> hits;
     uint64_t epoch = 0;
     // (shard id, snapshot version) per touched shard; empty-rect queries
-    // touch no shard and stay valid for the whole epoch.
+    // touch no shard and stay valid for the whole epoch. Guarded by the
+    // owning segment's mutex (a forward revalidation restamps it).
     std::vector<std::pair<int, uint64_t>> shard_versions;
     size_t bytes = 0;
   };
@@ -156,8 +172,14 @@ class ResultCache {
   };
 
   Segment& SegmentFor(const Key& key);
-  static bool StampValid(const Entry& e, const ShardTopology& topo,
-                         const ShardedVersionedIndex::SnapshotSet* snaps);
+  // Outcome of validating an entry's stamp against a probe's context.
+  enum class Stamp { kStale, kExact, kRevalidated };
+  // Validates `e` against `topo` (and `snaps`, see Lookup), restamping it
+  // forward on a revalidation; `*mass` receives the validated versions'
+  // sum. Caller holds the entry's segment mutex.
+  static Stamp StampValid(Entry* e, const ShardTopology& topo,
+                          const ShardedVersionedIndex::SnapshotSet* snaps,
+                          uint64_t* mass);
 
   ResultCacheOptions opts_;
   size_t segment_capacity_ = 0;
@@ -169,6 +191,7 @@ class ResultCache {
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;
   obs::Counter* invalidations_ = nullptr;
+  obs::Counter* revalidations_ = nullptr;
   obs::Counter* insertions_ = nullptr;
   obs::Counter* evictions_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;  // mirror of sum(seg.bytes)

@@ -56,6 +56,8 @@ ShardedIndexOptions ServeLoop::MakeIndexOptions() {
       metrics_.GetCounter("serve_snapshot_publishes_total");
   vopts.zombie_gauge = metrics_.GetGauge("serve_zombie_instances");
   vopts.journal = &journal_;
+  // Only the result cache reads the publish history.
+  vopts.publish_history = opts_.cache.capacity_bytes > 0;
   ShardedIndexOptions sopts;
   sopts.num_shards = opts_.num_shards;
   sopts.versioned = vopts;

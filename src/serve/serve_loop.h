@@ -194,9 +194,10 @@ class ServeLoop {
   // Enqueues the query for coalesced execution: concurrent submissions
   // are grouped by type and executed as one batch under a single
   // epoch-pinned snapshot-set acquisition (see serve/admission.h). The
-  // future resolves when the batch completes — at most ~admission.window_us
-  // later than the query's own execution. Prefer these over Range() when
-  // clients can tolerate the window and submit concurrently or in bulk.
+  // future resolves when the batch completes: a query submitted while a
+  // batch executes waits for that batch, plus ~admission.window_us when a
+  // window is set. Prefer these over Range() when clients submit
+  // concurrently or in bulk.
   std::future<QueryResult> SubmitQuery(const QueryRequest& request);
   std::vector<std::future<QueryResult>> SubmitBatch(
       const std::vector<QueryRequest>& requests);

@@ -109,6 +109,41 @@ TEST(AdmissionTest, SubmitBatchCoalescesUnderOneAcquisition) {
   EXPECT_EQ(as.batches, 2);
 }
 
+TEST(AdmissionTest, DefaultsDispatchWhenIdleAndStillCoalesceBursts) {
+  TestScenario s = MakeScenario(Region::kCaliNev, 3000, 80, 2e-3, 807);
+  ServeOptions opts;
+  opts.num_shards = 2;
+  opts.num_threads = 2;
+  opts.auto_rebuild = false;
+  ASSERT_EQ(opts.admission.window_us, 0) << "default is dispatch-when-idle";
+  ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(), opts);
+
+  // A lone query on an idle loop runs at once, as a batch of one.
+  const Rect& q = s.workload.queries[0];
+  EXPECT_EQ(SortedIds(loop.SubmitQuery(QueryRequest::Range(q)).get().hits),
+            TruthIds(s.data, q));
+  AdmissionStats as = loop.admission_stats();
+  EXPECT_EQ(as.batches, 1);
+  EXPECT_EQ(as.max_batch, 1);
+
+  // A burst enqueued atomically still coalesces up to batch_limit.
+  const size_t limit = opts.admission.batch_limit;
+  std::vector<QueryRequest> requests;
+  for (size_t i = 0; i < limit + limit / 2; ++i) {
+    requests.push_back(QueryRequest::Range(s.workload.queries[i % 80]));
+  }
+  std::vector<std::future<QueryResult>> futures = loop.SubmitBatch(requests);
+  for (size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(SortedIds(futures[i].get().hits),
+              TruthIds(s.data, requests[i].rect))
+        << "request " << i;
+  }
+  as = loop.admission_stats();
+  EXPECT_EQ(as.dispatched, static_cast<int64_t>(1 + requests.size()));
+  EXPECT_EQ(as.max_batch, static_cast<int64_t>(limit));
+  EXPECT_EQ(as.batches, 3);
+}
+
 TEST(AdmissionTest, BatchIsEpochPinnedAcrossALiveRepartition) {
   TestScenario s = MakeScenario(Region::kCaliNev, 4000, 60, 2e-3, 803);
   s.data = DedupeCoords(s.data);

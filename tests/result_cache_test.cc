@@ -7,8 +7,12 @@
 //     the entry; a write into an untouched shard does not (and the hit is
 //     still correct, because routing confines that write's effect to its
 //     own cell).
-//   * A snapshot swap, a topology swap (live repartition), and a
-//     mid-migration cutover each make every affected entry unservable.
+//   * Rect precision within a touched shard: a write whose point lies
+//     outside the rect keeps the entry servable (a revalidation); a write
+//     inside it or on its boundary, a drift rebuild, or more publishes
+//     than the shard's history holds invalidates it.
+//   * A topology swap (live repartition) and a mid-migration cutover
+//     each make every affected entry unservable.
 //   * SnapshotSet semantics: probes validate against the EXECUTION
 //     context — a batch pinned to an old snapshot set may legitimately
 //     hit an entry that is stale for live queries.
@@ -215,6 +219,199 @@ TEST(ResultCacheTest, DisabledCacheCountsNothing) {
   EXPECT_EQ(cs.insertions, 0);
 }
 
+// One shard over uniform [0,1]^2 data, so every write lands in the shard
+// the query touched and only its position decides the entry's fate.
+struct OneShardFixture {
+  TestScenario s;
+  std::unique_ptr<ServeLoop> loop;
+  const Rect q = Rect::Of(0.05, 0.05, 0.15, 0.15);
+
+  explicit OneShardFixture(ServeOptions opts = CachedOpts(1, 4 << 20)) {
+    s.data = MakeUniformDataset(4000, 78);
+    QueryGenOptions qopts;
+    qopts.num_queries = 16;
+    qopts.selectivity = 1e-3;
+    s.workload =
+        GenerateCheckinWorkload(Region::kCaliNev, s.data.bounds, qopts);
+    loop = std::make_unique<ServeLoop>(WaziFactory(), s.data, s.workload,
+                                       FastOpts(), opts);
+  }
+  uint64_t version() const { return loop->sharded_index().shard(0).version(); }
+  void Insert(const Point& p) {
+    loop->SubmitInsert(p);
+    loop->Flush();
+  }
+};
+
+std::vector<int64_t> With(std::vector<int64_t> ids, int64_t id) {
+  ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(ResultCacheTest, WriteOutsideRectOnTouchedShardRevalidates) {
+  OneShardFixture f;
+  const std::vector<int64_t> before = SortedIds(f.loop->Range(f.q).hits);
+  const uint64_t v0 = f.version();
+
+  f.Insert(Point{0.9, 0.9, 1000001});
+  ASSERT_EQ(f.version(), v0 + 1) << "the insert must publish on the shard";
+  QueryStats stats;
+  EXPECT_EQ(SortedIds(f.loop->Range(f.q, &stats).hits), before);
+  EXPECT_EQ(stats.cache_hits, 1);
+  ResultCacheStats cs = f.loop->cache_stats();
+  EXPECT_EQ(cs.revalidations, 1);
+  EXPECT_EQ(cs.invalidations, 0);
+  EXPECT_EQ(cs.hits, 1);
+
+  // The revalidation restamped the entry: the next probe is an exact hit.
+  stats.Reset();
+  EXPECT_EQ(SortedIds(f.loop->Range(f.q, &stats).hits), before);
+  EXPECT_EQ(stats.cache_hits, 1);
+  EXPECT_EQ(f.loop->cache_stats().revalidations, 1);
+}
+
+TEST(ResultCacheTest, InsertOnRectBoundaryInvalidates) {
+  OneShardFixture f;
+  const std::vector<int64_t> before = SortedIds(f.loop->Range(f.q).hits);
+  // Closed rectangle: a point on its right edge is a result.
+  const Point edge{f.q.max_x, 0.1, 1000003};
+  f.Insert(edge);
+  QueryStats stats;
+  EXPECT_EQ(SortedIds(f.loop->Range(f.q, &stats).hits),
+            With(before, edge.id));
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(f.loop->cache_stats().invalidations, 1);
+  EXPECT_EQ(f.loop->cache_stats().revalidations, 0);
+}
+
+TEST(ResultCacheTest, RemoveInsideRectInvalidates) {
+  OneShardFixture f;
+  const std::vector<Point> hits = f.loop->Range(f.q).hits;
+  ASSERT_FALSE(hits.empty());
+  const Point victim = hits.front();
+  f.loop->SubmitRemove(victim);
+  f.loop->Flush();
+  QueryStats stats;
+  std::vector<int64_t> expected = SortedIds(hits);
+  expected.erase(std::find(expected.begin(), expected.end(), victim.id));
+  EXPECT_EQ(SortedIds(f.loop->Range(f.q, &stats).hits), expected);
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(f.loop->cache_stats().invalidations, 1);
+}
+
+TEST(ResultCacheTest, GapLongerThanPublishHistoryInvalidates) {
+  OneShardFixture f;
+  const std::vector<int64_t> before = SortedIds(f.loop->Range(f.q).hits);
+  int64_t id = 1100000;
+  // Exactly the history depth of outside publishes is still covered...
+  const uint64_t v0 = f.version();
+  for (uint64_t i = 0; i < VersionedIndex::kPublishHistoryDepth; ++i) {
+    f.Insert(Point{0.9, 0.5 + 1e-4 * static_cast<double>(i), id++});
+  }
+  ASSERT_EQ(f.version(), v0 + VersionedIndex::kPublishHistoryDepth);
+  EXPECT_EQ(SortedIds(f.loop->Range(f.q).hits), before);
+  EXPECT_EQ(f.loop->cache_stats().revalidations, 1);
+  EXPECT_EQ(f.loop->cache_stats().invalidations, 0);
+
+  // ...one more and the ring no longer reaches the stamped version.
+  const uint64_t v1 = f.version();
+  for (uint64_t i = 0; i <= VersionedIndex::kPublishHistoryDepth; ++i) {
+    f.Insert(Point{0.8, 0.5 + 1e-4 * static_cast<double>(i), id++});
+  }
+  ASSERT_EQ(f.version(), v1 + VersionedIndex::kPublishHistoryDepth + 1);
+  QueryStats stats;
+  EXPECT_EQ(SortedIds(f.loop->Range(f.q, &stats).hits), before);
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(f.loop->cache_stats().invalidations, 1);
+  EXPECT_EQ(f.loop->cache_stats().revalidations, 1);
+}
+
+TEST(ResultCacheTest, OverwrittenHistoryInvalidatesPinnedProbe) {
+  // The pinned set parks a snapshot across every publish below; a short
+  // copy-on-stall deadline keeps each publish from waiting 250 ms on it.
+  ServeOptions opts = CachedOpts(1, 4 << 20);
+  opts.writer_stall_ms = 1;
+  OneShardFixture f(opts);
+  const std::vector<int64_t> v0_ids = SortedIds(f.loop->Range(f.q).hits);
+  ShardedVersionedIndex::SnapshotSet old_set;
+  f.loop->sharded_index().AcquireAll(&old_set);
+
+  // Stamp the entry one publish (an inside insert) past the pinned set...
+  const Point inside{0.1, 0.1, 1300001};
+  f.Insert(inside);
+  EXPECT_EQ(SortedIds(f.loop->Range(f.q).hits), With(v0_ids, inside.id));
+  // ...then let the ring lap that publish with outside ones, no probes.
+  int64_t id = 1300002;
+  for (uint64_t i = 0; i < VersionedIndex::kPublishHistoryDepth; ++i) {
+    f.Insert(Point{0.9, 0.5 + 1e-4 * static_cast<double>(i), id++});
+  }
+
+  // The gap is one publish, but its record is gone: the pinned probe must
+  // re-execute on its own snapshots, not trust the lapped slot.
+  const int64_t invalidations = f.loop->cache_stats().invalidations;
+  std::vector<QueryResult> results;
+  f.loop->engine().ExecuteBatchOn({QueryRequest::Range(f.q)}, &results,
+                                  old_set);
+  EXPECT_EQ(SortedIds(results[0].hits), v0_ids);
+  EXPECT_EQ(f.loop->cache_stats().invalidations, invalidations + 1);
+}
+
+TEST(ResultCacheTest, DriftRebuildInvalidates) {
+  OneShardFixture f;
+  const std::vector<int64_t> before = SortedIds(f.loop->Range(f.q).hits);
+  const uint64_t v0 = f.version();
+  f.loop->TriggerRebuild();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (f.version() == v0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(f.version(), v0 + 1) << "the rebuild never published";
+  QueryStats stats;
+  EXPECT_EQ(SortedIds(f.loop->Range(f.q, &stats).hits), before);
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(f.loop->cache_stats().invalidations, 1);
+  EXPECT_EQ(f.loop->cache_stats().revalidations, 0);
+}
+
+TEST(ResultCacheTest, PinnedOlderSetValidatesAgainstNewerStamp) {
+  OneShardFixture f;
+  const std::vector<int64_t> v0_ids = SortedIds(f.loop->Range(f.q).hits);
+
+  // Pin version v0, publish an outside write, and let a live query stamp
+  // the entry at the newer version.
+  ShardedVersionedIndex::SnapshotSet old_set;
+  f.loop->sharded_index().AcquireAll(&old_set);
+  f.Insert(Point{0.9, 0.9, 1200001});
+  EXPECT_EQ(SortedIds(f.loop->Range(f.q).hits), v0_ids);  // revalidated
+  ASSERT_EQ(f.loop->cache_stats().revalidations, 1);
+
+  // The batch pinned to v0 checks (v0, v1] backwards: nothing in the rect,
+  // so it hits — and must not move the stamp back to v0.
+  std::vector<QueryResult> results;
+  f.loop->engine().ExecuteBatchOn({QueryRequest::Range(f.q)}, &results,
+                                  old_set);
+  EXPECT_EQ(SortedIds(results[0].hits), v0_ids);
+  EXPECT_EQ(f.loop->cache_stats().revalidations, 2);
+  EXPECT_EQ(SortedIds(f.loop->Range(f.q).hits), v0_ids);
+  EXPECT_EQ(f.loop->cache_stats().revalidations, 2) << "stamp moved back";
+  old_set = {};
+
+  // Now an inside write: a live query re-executes and stamps the newer
+  // version; a batch pinned before the write must not be served it.
+  ShardedVersionedIndex::SnapshotSet mid_set;
+  f.loop->sharded_index().AcquireAll(&mid_set);
+  const Point inside{0.1, 0.1, 1200002};
+  f.Insert(inside);
+  EXPECT_EQ(SortedIds(f.loop->Range(f.q).hits), With(v0_ids, inside.id));
+  const int64_t invalidations = f.loop->cache_stats().invalidations;
+  f.loop->engine().ExecuteBatchOn({QueryRequest::Range(f.q)}, &results,
+                                  mid_set);
+  EXPECT_EQ(SortedIds(results[0].hits), v0_ids);
+  EXPECT_EQ(f.loop->cache_stats().invalidations, invalidations + 1);
+}
+
 // The acceptance bar: with the cache enabled, every result returned by a
 // pinned batch equals brute force over the exact membership of the
 // snapshots it was pinned to — while writers stream routed updates and a
@@ -232,7 +429,18 @@ TEST(ResultCacheStressTest, DifferentialVsBruteForceAcrossLiveSwaps) {
   std::atomic<int64_t> mismatches{0};
   std::atomic<int64_t> checked{0};
 
+  // The readers' hot set (see below).
+  constexpr size_t kHot = 12;
+  const auto in_hot = [&](const Point& p) {
+    for (size_t i = 0; i < kHot; ++i) {
+      if (s.workload.queries[i].Contains(p)) return true;
+    }
+    return false;
+  };
+
   // Writers: routed inserts/removes keep every shard's versions moving.
+  // Half the inserts land inside a hot rect (the entry must invalidate),
+  // half outside every hot rect (the entry must revalidate).
   std::vector<std::thread> writers;
   for (int w = 0; w < 2; ++w) {
     writers.emplace_back([&, w] {
@@ -244,7 +452,17 @@ TEST(ResultCacheStressTest, DifferentialVsBruteForceAcrossLiveSwaps) {
           loop.SubmitRemove(mine.back());
           mine.pop_back();
         } else {
-          Point p{rng.NextDouble(), rng.NextDouble(), next_id++};
+          Point p{0, 0, next_id++};
+          if (rng.NextBelow(2) == 0) {
+            const Rect& hot = s.workload.queries[rng.NextBelow(kHot)];
+            p.x = hot.min_x + rng.NextDouble() * (hot.max_x - hot.min_x);
+            p.y = hot.min_y + rng.NextDouble() * (hot.max_y - hot.min_y);
+          } else {
+            do {
+              p.x = rng.NextDouble();
+              p.y = rng.NextDouble();
+            } while (in_hot(p));
+          }
           loop.SubmitInsert(p);
           mine.push_back(p);
         }
@@ -286,7 +504,7 @@ TEST(ResultCacheStressTest, DifferentialVsBruteForceAcrossLiveSwaps) {
           // uniform (churn + evictions).
           const size_t qi = rng.NextBelow(4) == 0
                                 ? rng.NextBelow(s.workload.queries.size())
-                                : rng.NextBelow(12);
+                                : rng.NextBelow(kHot);
           requests.push_back(QueryRequest::Range(s.workload.queries[qi]));
         }
         std::vector<QueryResult> results;
@@ -317,6 +535,8 @@ TEST(ResultCacheStressTest, DifferentialVsBruteForceAcrossLiveSwaps) {
   EXPECT_GT(cs.hits, 0) << "cache never hit — stress did not test it";
   EXPECT_GT(cs.invalidations, 0)
       << "no stamp invalidations — writers/migrations were not observed";
+  EXPECT_GT(cs.revalidations, 0)
+      << "no revalidations — outside writes always invalidated";
   EXPECT_GT(loop.repartitions(), 0);
 }
 
