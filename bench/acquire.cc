@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -174,8 +175,8 @@ int main(int argc, char** argv) {
   auto baseline_index = MakeIndex("wazi");
   baseline_index->Build(data, workload, wazi::BuildOptions{});
   AtomicCell<const IndexSnapshot> cell;
-  cell.Store(std::make_shared<const IndexSnapshot>(
-      baseline_index.get(), /*version=*/1, nullptr, nullptr));
+  cell.Store(std::make_shared<const IndexSnapshot>(std::move(baseline_index),
+                                                   /*version=*/1, nullptr));
 
   std::vector<Row> rows;
   double shared_at_max = 0.0;

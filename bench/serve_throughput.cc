@@ -319,8 +319,8 @@ int WriteBenchJson(const char* path, const std::string& index_name,
     w.EndArray();
   }
   if (metrics != nullptr) {
-    // The full registry of the last serve loop: migrations, stall
-    // copies, cache counters, latency histogram — everything the serve
+    // The full registry of the last serve loop: migrations, epoch limbo,
+    // cache counters, latency histogram — everything the serve
     // stack publishes, in the exporter's standard layout.
     w.Key("metrics").Raw(obs::ToJson(*metrics));
   }

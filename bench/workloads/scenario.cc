@@ -276,7 +276,6 @@ ScenarioOutcome Scenario::Run(const ScenarioConfig& cfg) const {
   outcome.moved_points = mig.total_moved_points;
   outcome.last_moved_shards = mig.last_moved_shards;
   outcome.last_carried_shards = mig.last_carried_shards;
-  outcome.stall_copies = mig.stall_copies;
   outcome.epoch = loop.epoch();
   outcome.metrics_json = obs::ToJson(loop.metrics().Snapshot());
   return outcome;
@@ -330,7 +329,6 @@ std::string ScenarioJson(const ScenarioOutcome& outcome) {
   w.Key("moved_points").Int(outcome.moved_points);
   w.Key("last_moved_shards").Int(outcome.last_moved_shards);
   w.Key("last_carried_shards").Int(outcome.last_carried_shards);
-  w.Key("stall_copies").Int(outcome.stall_copies);
   w.Key("epoch").UInt(outcome.epoch);
   w.EndObject();
   w.Key("metrics").Raw(outcome.metrics_json.empty() ? "{}"

@@ -92,7 +92,6 @@ struct ScenarioOutcome {
   int64_t moved_points = 0;
   int64_t last_moved_shards = 0;
   int64_t last_carried_shards = 0;
-  int64_t stall_copies = 0;
   uint64_t epoch = 1;
   int64_t invariant_checks = 0;  // individual assertions evaluated
   std::string transport = "embedded";  // "wire" when cfg.net took effect

@@ -7,6 +7,7 @@
 #ifndef WAZI_BASELINES_FLOOD_H_
 #define WAZI_BASELINES_FLOOD_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,9 @@ class Flood : public SpatialIndex {
   bool DoPointQuery(const Point& p, QueryStats* stats) const override;
   bool Insert(const Point& p) override;
   bool Remove(const Point& p) override;
-  bool SupportsUpdates() const override { return true; }
+  std::unique_ptr<SpatialIndex> CloneForUpdate() const override {
+    return std::make_unique<Flood>(*this);
+  }
   size_t SizeBytes() const override;
 
   // Chosen layout, for tests/diagnostics.

@@ -201,9 +201,9 @@ int32_t RTree::SplitLeafNode(int32_t node_id) {
 
   Node sibling;
   for (const Point& q : right) sibling.mbr.Expand(q);
-  sibling.page = store_.AllocatePage(std::move(right));
+  sibling.page = store_.AllocatePage(right);
 
-  store_.ReplacePage(nodes_[node_id].page, std::move(pts));
+  store_.ReplacePage(nodes_[node_id].page, pts);
   RecomputeMbr(node_id);
   nodes_.push_back(std::move(sibling));
   return static_cast<int32_t>(nodes_.size() - 1);

@@ -44,7 +44,11 @@ class ZIndexVariant : public SpatialIndex {
   bool DoPointQuery(const Point& p, QueryStats* stats) const override;
   bool Insert(const Point& p) override;
   bool Remove(const Point& p) override;
-  bool SupportsUpdates() const override { return true; }
+  // Shares every page with this index; copies the node array, the leaf
+  // directory and the page table (O(leaves)).
+  std::unique_ptr<SpatialIndex> CloneForUpdate() const override {
+    return std::make_unique<ZIndexVariant>(*this);
+  }
   size_t SizeBytes() const override;
 
   // Direct access for tests and diagnostics.

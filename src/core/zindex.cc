@@ -282,13 +282,13 @@ void ZIndex::SplitLeaf(int32_t node_id, bool maintain_lookahead) {
     LeafRec& a = dir_.leaf(leaf_id);
     a.cell = QuadrantRect(cell, sx, sy, Quadrant::kA);
     a.mbr = MbrOf(parts[0].data(), parts[0].data() + parts[0].size());
-    store_.ReplacePage(page, std::move(parts[0]));
+    store_.ReplacePage(page, parts[0]);
   }
   int32_t after = leaf_id;
   for (int q = 1; q < 4; ++q) {
     const Rect qcell = QuadrantRect(cell, sx, sy, static_cast<Quadrant>(q));
     const Rect mbr = MbrOf(parts[q].data(), parts[q].data() + parts[q].size());
-    const int32_t new_page = store_.AllocatePage(std::move(parts[q]));
+    const int32_t new_page = store_.AllocatePage(parts[q]);
     after = dir_.InsertAfter(after, qcell, mbr, new_page);
     ids[q] = after;
   }

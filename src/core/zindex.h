@@ -24,6 +24,10 @@
 
 namespace wazi {
 
+// Copyable: a copy shares every point page with its source (PageStore)
+// and duplicates only the node array, the leaf directory and the page
+// table, so it costs O(leaves). Updating the copy never writes the
+// source's storage.
 class ZIndex {
  public:
   struct Node {

@@ -4,6 +4,7 @@
 #ifndef WAZI_INDEX_BRUTE_FORCE_H_
 #define WAZI_INDEX_BRUTE_FORCE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,9 @@ class BruteForceIndex : public SpatialIndex {
   bool DoPointQuery(const Point& p, QueryStats* stats) const override;
   bool Insert(const Point& p) override;
   bool Remove(const Point& p) override;
-  bool SupportsUpdates() const override { return true; }
+  std::unique_ptr<SpatialIndex> CloneForUpdate() const override {
+    return std::make_unique<BruteForceIndex>(*this);
+  }
   size_t SizeBytes() const override;
 
  private:

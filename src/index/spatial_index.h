@@ -144,14 +144,22 @@ class SpatialIndex {
   }
 
   // Returns false when the index does not support updates. Updates are
-  // NOT thread-safe with respect to queries; src/serve/ serializes them
-  // through snapshot swaps.
+  // NOT thread-safe with respect to queries; src/serve/ applies them to a
+  // CloneForUpdate() copy that no reader can see until it is published.
   virtual bool Insert(const Point& p);
   virtual bool Remove(const Point& p);
-  // True iff Insert/Remove mutate the index. Lets callers (the serve
-  // writer) distinguish "unsupported" from "remove found nothing" and fall
-  // back to a full rebuild for static indexes.
-  virtual bool SupportsUpdates() const { return false; }
+
+  // A private copy for the serve writer to update while readers keep
+  // querying this instance: the writer applies a batch to the clone and
+  // publishes it in this instance's place, so the clone must not write
+  // any storage it shares with this one. nullptr (the default) means
+  // "build a fresh instance from the authoritative point set instead",
+  // the path for indexes without cheap updates (including the R-trees,
+  // whose Insert works but degrades the packed layout). Safe to call
+  // while other threads query this instance.
+  virtual std::unique_ptr<SpatialIndex> CloneForUpdate() const {
+    return nullptr;
+  }
 
   virtual size_t SizeBytes() const = 0;
 

@@ -49,7 +49,7 @@ struct alignas(64) Counter {
   int64_t value() const { return v.load(std::memory_order_relaxed); }
 };
 
-// Point-in-time value (queue depths, zombie counts, epochs). Same storage
+// Point-in-time value (queue depths, limbo sizes, epochs). Same storage
 // shape as Counter; the split type keeps exporters honest about which
 // metrics are monotone.
 struct alignas(64) Gauge {

@@ -9,7 +9,6 @@ const char* KindName(TraceEventKind kind) {
   switch (kind) {
     case TraceEventKind::kSnapshotSwap: return "snapshot_swap";
     case TraceEventKind::kDriftRebuild: return "drift_rebuild";
-    case TraceEventKind::kStallCopy: return "stall_copy";
     case TraceEventKind::kMigrationPlan: return "migration_plan";
     case TraceEventKind::kMigrationCapture: return "migration_capture";
     case TraceEventKind::kMigrationCatchUp: return "migration_catch_up";
@@ -42,9 +41,6 @@ std::string FormatEvent(const TraceEvent& e, int64_t origin_ns) {
       break;
     case TraceEventKind::kDriftRebuild:
       out += " rebuilds=" + std::to_string(e.a);
-      break;
-    case TraceEventKind::kStallCopy:
-      out += " zombies=" + std::to_string(e.a);
       break;
     case TraceEventKind::kMigrationPlan:
       out += " moved=" + std::to_string(e.a) +

@@ -13,7 +13,6 @@
 //   kSnapshotSwap        shard = shard id, epoch = birth epoch of that
 //                        shard's VersionedIndex, a = published version
 //   kDriftRebuild        shard, epoch; a = rebuild count so far (loop-wide)
-//   kStallCopy           shard, epoch; a = zombies now parked on the shard
 //   kMigrationPlan       epoch = TARGET epoch, a = shards to rebuild,
 //                        b = shards carried, c = 1 incremental / 0 full
 //   kMigrationCapture    epoch = target, a = points captured
@@ -47,7 +46,6 @@ namespace wazi::obs {
 enum class TraceEventKind : uint8_t {
   kSnapshotSwap = 0,
   kDriftRebuild,
-  kStallCopy,
   kMigrationPlan,
   kMigrationCapture,
   kMigrationCatchUp,

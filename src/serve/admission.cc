@@ -224,8 +224,8 @@ void AdmissionQueue::DispatchBatch(std::vector<Pending>* batch) {
   const int64_t admit_ns = any_sampled ? obs::TraceJournal::NowNs() : 0;
 
   // THE admission win: one topology pin + one snapshot acquire per shard
-  // for the whole batch. Held only for the batch's execution, so it
-  // stalls writers no longer than any other per-block reader.
+  // for the whole batch. Held only for the batch's execution; writers
+  // never wait for it, it only keeps the batch's snapshots alive.
   ShardedVersionedIndex::SnapshotSet snaps;
   index_->AcquireAll(&snaps);
   std::vector<QueryResult> results;

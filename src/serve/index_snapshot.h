@@ -1,37 +1,35 @@
 // Snapshot-swapped index versioning: the concurrency backbone of the
 // serving engine.
 //
-// A VersionedIndex owns two instances of one index type built over the
-// same data (a left-right pair). Exactly one instance is published at a
-// time, wrapped in an immutable IndexSnapshot behind an atomic raw
-// pointer. Readers call Acquire() and run any number of queries on the
-// snapshot without further synchronization — the query path of
-// SpatialIndex is const and takes explicit QueryStats, so concurrent reads
-// are data-race free. Snapshot lifetime is epoch-based (serve/epoch.h):
-// Acquire stamps the reader's per-thread epoch slot (a store to memory the
-// reader owns — no contended refcount), and a superseded snapshot parks on
-// the domain's limbo list until every stamped reader has moved past its
-// retire epoch.
+// A VersionedIndex holds ONE index instance per shard, wrapped in an
+// immutable IndexSnapshot behind an atomic raw pointer. The snapshot
+// owns its instance. Readers call Acquire() and run any number of
+// queries on the snapshot without further synchronization: the query
+// path of SpatialIndex is const and takes explicit QueryStats, so
+// concurrent reads are data-race free. Snapshot lifetime is epoch-based
+// (serve/epoch.h): Acquire stamps the reader's per-thread epoch slot (a
+// store to memory the reader owns, no contended refcount), and a
+// superseded snapshot parks on the domain's limbo list until every
+// stamped reader has moved past its retire epoch.
 //
-// A single writer applies batched Insert/Remove ops to the *unpublished*
-// instance, publishes it with a new version, and lets the previous
-// snapshot drain. Drain is signalled by the retired snapshot's destructor
-// (release-store on a drain flag observed with an acquire-load by the
-// writer), which now runs from epoch reclamation instead of a refcount
-// hitting zero, so the writer never mutates an instance a reader could
-// still be scanning — and the synchronization is explicit enough for
-// ThreadSanitizer to verify. Indexes that do not support updates
-// (SupportsUpdates() == false) fall back to a full rebuild of the shadow
-// instance from the authoritative point set.
-//
-// Writer backpressure is bounded: a reader that PARKS a snapshot (holds
-// it across many queries, or indefinitely) blocks the writer's next
-// publish only up to `writer_stall_ms`. Past that deadline the writer
-// stops waiting, retires the parked instance to a zombie list (readers
-// keep scanning it untouched; it is destroyed once its snapshot finally
-// drains) and builds a fresh replacement instance from the authoritative
-// point set — copy-on-stall. The stall therefore costs one O(shard)
-// build instead of unbounded writer (and migration-capture) delay.
+// A single writer publishes each batch of Insert/Remove ops in four
+// steps: clone -> apply -> publish -> retire.
+//   1. clone:   SpatialIndex::CloneForUpdate() on the live instance. A
+//               Z-index clone shares every point page and copies only its
+//               node array, leaf directory and page table (O(leaves));
+//               the first write to a shared page copies that page alone
+//               (storage/page_store.h).
+//   2. apply:   the batch goes to the clone, which no reader can reach.
+//   3. publish: one seq_cst exchange swaps a snapshot of the clone live.
+//   4. retire:  the old snapshot, and the instance it owns, go to the
+//               epoch domain, which frees them once no stamped reader can
+//               still reach them.
+// Nothing the writer writes is ever visible to a reader before the
+// exchange, and nothing a reader can see is ever written again, so the
+// writer never waits for a reader. A reader that parks a snapshot costs
+// memory only: the pages and directory that snapshot pins. Indexes
+// without a clone hook (CloneForUpdate() == nullptr) publish a fresh
+// instance built from the authoritative point set instead.
 
 #ifndef WAZI_SERVE_INDEX_SNAPSHOT_H_
 #define WAZI_SERVE_INDEX_SNAPSHOT_H_
@@ -39,7 +37,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -86,31 +83,16 @@ struct UpdateOp {
   static UpdateOp Remove(const Point& p) { return {Kind::kRemove, p}; }
 };
 
-// Drain token shared between a snapshot and the instance it wraps: the
-// snapshot's destructor release-stores true; the writer acquire-loads it
-// before mutating (or destroying) the instance. shared_ptr-owned so a
-// copy-on-stall retirement can hand the token to the zombie instance
-// without the flag's storage moving under the parked snapshot.
-using DrainFlag = std::shared_ptr<std::atomic<bool>>;
-
-// One published index version. Immutable; any thread holding a
-// SnapshotRef to it may query `index()` concurrently with all others.
+// One published index version. Immutable, and the sole owner of its
+// instance; any thread holding a SnapshotRef to it may query `index()`
+// concurrently with all others.
 class IndexSnapshot {
  public:
-  IndexSnapshot(const SpatialIndex* index, uint64_t version,
-                std::shared_ptr<const std::vector<Point>> points,
-                DrainFlag drained)
-      : index_(index),
+  IndexSnapshot(std::unique_ptr<const SpatialIndex> index, uint64_t version,
+                std::shared_ptr<const std::vector<Point>> points)
+      : index_(std::move(index)),
         version_(version),
-        points_(std::move(points)),
-        drained_(std::move(drained)) {}
-
-  ~IndexSnapshot() {
-    // Runs from epoch reclamation once no stamped reader can still reach
-    // the snapshot; tells the writer the wrapped instance is safe to
-    // mutate again.
-    if (drained_ != nullptr) drained_->store(true, std::memory_order_release);
-  }
+        points_(std::move(points)) {}
 
   IndexSnapshot(const IndexSnapshot&) = delete;
   IndexSnapshot& operator=(const IndexSnapshot&) = delete;
@@ -126,18 +108,17 @@ class IndexSnapshot {
   }
 
  private:
-  const SpatialIndex* index_;
+  std::unique_ptr<const SpatialIndex> index_;
   uint64_t version_;
   std::shared_ptr<const std::vector<Point>> points_;
-  DrainFlag drained_;
 };
 
 // A reader's lease on one published snapshot: a raw pointer kept alive by
 // the epoch Guard riding along, shaped like the shared_ptr it replaced so
 // call sites (`snap->index()`, `if (snap)`) read the same. Thread-bound
-// and move-only — acquire, query, and release on one thread; hold per
-// query block, don't park (a parked ref triggers the writer's
-// copy-on-stall fallback, exactly as a parked shared_ptr did).
+// and move-only: acquire, query, and release on one thread. Hold it per
+// query block; a parked ref never blocks the writer, but it pins every
+// snapshot retired after its stamp in limbo until it is released.
 class SnapshotRef {
  public:
   SnapshotRef() = default;
@@ -217,29 +198,22 @@ struct VersionedIndexOptions {
   // enabled; off, publishes record nothing and UnchangedWithin answers
   // false for any version gap.
   bool publish_history = false;
-  // Copy-on-stall deadline: how long the writer waits for a retired
-  // snapshot to drain before it stops waiting, retires the parked
-  // instance (readers keep it until their snapshot releases) and builds a
-  // fresh replacement from the authoritative point set. Bounds the writer
-  // stall a parked reader can cause — including a migration's capture
-  // phase — at the price of an O(shard) build per fallback. <= 0 waits
-  // forever (the pre-fallback behaviour).
-  int writer_stall_ms = 250;
   // Registry-backed observability handles (obs/metrics.h), all optional:
   // nullptr simply skips the publication (standalone / test construction
   // stays dependency-free). ServeLoop wires every shard of every
   // generation to ITS registry handles, so the counters aggregate across
   // shards and survive migrations.
-  obs::Counter* stall_counter = nullptr;     // copy-on-stall fallbacks
-  obs::Counter* publish_counter = nullptr;   // snapshot publishes (swaps)
-  obs::Gauge* zombie_gauge = nullptr;        // instances parked as zombies
-  // When set, snapshot swaps / stall retirements are journaled with this
+  obs::Counter* publish_counter = nullptr;  // snapshot publishes (swaps)
+  obs::Counter* dropped_counter = nullptr;  // ops ApplyToData dropped
+  // Limbo size of epoch_domain, set after every reclamation pump.
+  obs::Gauge* limbo_gauge = nullptr;
+  // When set, snapshot swaps are journaled with this
   // shard attribution (the shard id and topology epoch the VersionedIndex
   // was born into — carried shards keep their birth attribution).
   obs::TraceJournal* journal = nullptr;
   int shard_id = -1;
   uint64_t epoch = 0;
-  // Reclamation domain for retired snapshots/instances. Defaults to the
+  // Reclamation domain for retired snapshots. Defaults to the
   // process-wide EpochDomain::Global() (VersionedIndex resolves null to it
   // at construction); tests inject a private domain for exact limbo
   // accounting.
@@ -248,10 +222,9 @@ struct VersionedIndexOptions {
 
 // Thread-safety contract: Acquire()/version() from any thread; everything
 // else (ApplyBatch, Rebuild, data accessors) from ONE writer thread. No
-// new Acquire() may race destruction, but destruction no longer waits for
-// outstanding refs: the live snapshot, both instances, and any zombies
-// retire to the epoch domain's limbo, which frees them once the last
-// stamped reader moves on.
+// new Acquire() may race destruction, but destruction never waits for
+// outstanding refs: the live snapshot retires to the epoch domain's
+// limbo, which frees it once the last stamped reader moves on.
 class VersionedIndex {
  public:
   VersionedIndex(IndexFactory factory, const Dataset& data,
@@ -272,7 +245,7 @@ class VersionedIndex {
                        std::move(guard));
   }
 
-  // acquire: pairs with PublishShadow's release-store, so a reader that
+  // acquire: pairs with Publish's release-store, so a reader that
   // observes version v also observes the batches applied up to v.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
@@ -293,14 +266,14 @@ class VersionedIndex {
 
   // --- single-writer API ---
 
-  // Applies `ops` to the authoritative point set and the shadow instance,
-  // then publishes the shadow as the new live snapshot. Blocks until the
-  // snapshot that previously wrapped the shadow instance has drained —
-  // writer backpressure bounded by the longest reader-held snapshot, so
-  // readers must hold snapshots per query (or query block), not park them.
+  // Applies `ops` to the authoritative point set and to a clone of the
+  // live instance, then publishes the clone as the new live snapshot and
+  // retires the old one. Never waits for readers. Ops that would
+  // desynchronize the point set from the instance are dropped (and
+  // counted in dropped_counter), see ApplyToData.
   void ApplyBatch(const std::vector<UpdateOp>& ops);
 
-  // Rebuilds the shadow instance from the authoritative point set against
+  // Builds a fresh instance from the authoritative point set against
   // `workload` (the drift-triggered re-optimization path) and publishes it.
   void Rebuild(const Workload& workload);
 
@@ -311,55 +284,31 @@ class VersionedIndex {
   size_t num_points() const {
     return num_points_.load(std::memory_order_relaxed);
   }
-  // Copy-on-stall fallbacks taken by this shard's writer (any thread).
-  int64_t stall_copies() const {
-    return stall_copies_.load(std::memory_order_relaxed);
-  }
-  // Pumps the epoch domain (freeing reclaimable limbo snapshots, which
-  // flips their drain flags) and then frees instances retired by
-  // copy-on-stall whose parked snapshot has since drained. Runs
-  // automatically before every batch/rebuild; call it from the writer's
-  // idle wake-ups too, or a fallback taken on a shard that then goes idle
-  // would hold its O(shard) duplicate until destruction. Writer thread
-  // only. Cheap when there is nothing to do.
-  void ReapRetired() {
-    opts_.epoch_domain->Reclaim();
-    ReapZombies();
-  }
+  // Pumps the epoch domain, freeing every retired snapshot no stamped
+  // reader can still reach, and sets limbo_gauge. Runs after every
+  // publish; call it from the writer's idle wake-ups too, so a shard that
+  // goes idle does not hold its last retired snapshots until the next
+  // write. Any thread. Cheap when there is nothing to do.
+  void Reclaim();
   // The reclamation domain this index retires into.
   EpochDomain* epoch_domain() const { return opts_.epoch_domain; }
   // Authoritative state, writer thread only.
   const Dataset& data() const { return data_; }
 
  private:
-  // An instance retired by copy-on-stall: destroyed (writer thread) once
-  // its snapshot's drain flag flips.
-  struct ZombieInstance {
-    std::unique_ptr<SpatialIndex> index;
-    DrainFlag drained;
-  };
-  // Waits (up to opts_.writer_stall_ms) for the shadow instance's last
-  // snapshot to drain, then brings the instance up to date with every
-  // batch it missed (or rebuilds it outright if a rebuild superseded
-  // those batches). On a stall timeout the parked instance moves to
-  // zombies_ and a fresh instance takes the slot (built from data_ unless
-  // catch_up is false — then the caller builds it). Pass catch_up = false
-  // when the caller rebuilds the instance from data_ anyway.
-  SpatialIndex* AcquireShadow(bool catch_up = true);
-  // Destroys every retired instance whose snapshot has drained.
-  void ReapZombies();
-  // Wraps the shadow in a new snapshot and swaps it live. `ops` are the
-  // batch's effective ops for the publish history; nullptr records the
-  // publish as changing everything (a build or rebuild).
-  void PublishShadow(const std::vector<UpdateOp>* ops);
-  // Drops ops that would desynchronize the id-keyed authoritative set from
-  // the coordinate-keyed index instances: duplicate-id inserts, removes of
-  // absent ids, removes with stale coordinates.
-  std::vector<UpdateOp> SanitizeOps(const std::vector<UpdateOp>& ops);
-  // Applies ops to the authoritative point set (id-keyed removal).
-  void ApplyToData(const std::vector<UpdateOp>& ops);
-  static void ApplyToInstance(SpatialIndex* index,
-                              const std::vector<UpdateOp>& ops);
+  // Builds a new instance from data_ against last_workload_.
+  std::unique_ptr<SpatialIndex> BuildFresh() const;
+  // Wraps `next` in a new snapshot, swaps it live and retires the old
+  // one. `ops` are the batch's effective ops for the publish history;
+  // nullptr records the publish as changing everything (a build or
+  // rebuild).
+  void Publish(std::unique_ptr<SpatialIndex> next,
+               const std::vector<UpdateOp>* ops);
+  // Applies ops to the authoritative point set (id-keyed removal) and
+  // returns the ones it applied. Drops ops that would desynchronize the
+  // id-keyed set from the coordinate-keyed index instance: duplicate-id
+  // inserts, removes of absent ids, removes with stale coordinates.
+  std::vector<UpdateOp> ApplyToData(const std::vector<UpdateOp>& ops);
 
   IndexFactory factory_;
   BuildOptions build_opts_;
@@ -370,23 +319,12 @@ class VersionedIndex {
   Workload last_workload_;   // workload of the most recent (re)build
   std::unordered_map<int64_t, size_t> pos_by_id_;  // id -> index in data_
 
-  std::unique_ptr<SpatialIndex> inst_[2];
-  DrainFlag drained_[2];  // instance safe to mutate again
-  uint64_t applied_through_[2] = {0, 0};  // last version each instance has
-  // Instances parked past the stall deadline, awaiting their drain.
-  std::vector<ZombieInstance> zombies_;
-  std::atomic<int64_t> stall_copies_{0};
-  uint64_t last_rebuild_version_ = 0;
-  // Batches newer than min(applied_through_), so the shadow can catch up.
-  std::deque<std::pair<uint64_t, std::vector<UpdateOp>>> recent_batches_;
-  int live_slot_ = 0;
-  bool supports_updates_ = false;
-
   std::atomic<size_t> num_points_{0};  // mirror of data_.points.size()
   std::atomic<uint64_t> version_{0};
-  // The publication slot. Raw pointer + epoch reclamation: the pointed-to
-  // snapshot is owned by whichever of {this, the domain's limbo list}
-  // currently holds it, never by readers.
+  // The publication slot and the shard's only instance (owned by the
+  // snapshot). Raw pointer + epoch reclamation: the pointed-to snapshot
+  // is owned by whichever of {this, the domain's limbo list} currently
+  // holds it, never by readers.
   std::atomic<const IndexSnapshot*> live_{nullptr};
 
   // One publish as UnchangedWithin sees it.

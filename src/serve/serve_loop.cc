@@ -21,7 +21,6 @@ ServeLoop::ServeLoop(IndexFactory factory, const Dataset& data,
           opts.obs.trace_sample_every)),
       repartition_monitor_(opts.repartition) {
   rebuilds_ctr_ = metrics_.GetCounter("serve_drift_rebuilds_total");
-  stall_ctr_ = metrics_.GetCounter("serve_stall_copies_total");
   migrations_ctr_ = metrics_.GetCounter("serve_migrations_total");
   migrations_incr_ctr_ =
       metrics_.GetCounter("serve_migrations_incremental_total");
@@ -50,11 +49,11 @@ ShardedIndexOptions ServeLoop::MakeIndexOptions() {
   // (shard_id, epoch) attribution on top.
   VersionedIndexOptions vopts;
   vopts.track_points = opts_.track_points;
-  vopts.writer_stall_ms = opts_.writer_stall_ms;
-  vopts.stall_counter = metrics_.GetCounter("serve_stall_copies_total");
   vopts.publish_counter =
       metrics_.GetCounter("serve_snapshot_publishes_total");
-  vopts.zombie_gauge = metrics_.GetGauge("serve_zombie_instances");
+  vopts.dropped_counter =
+      metrics_.GetCounter("serve_writer_ops_dropped_total");
+  vopts.limbo_gauge = metrics_.GetGauge("serve_epoch_limbo");
   vopts.journal = &journal_;
   // Only the result cache reads the publish history.
   vopts.publish_history = opts_.cache.capacity_bytes > 0;
@@ -387,8 +386,7 @@ std::vector<Point> ServeLoop::AwaitCaptures(WriterGen& gen,
                                             const std::vector<bool>& changed) {
   // Each participating old writer copies its authoritative point set once
   // it has applied through its capture target. Bounded by writer
-  // progress, which is bounded by writer_stall_ms even under a parked
-  // reader snapshot (copy-on-stall).
+  // progress alone: a writer never waits for readers, parked or not.
   std::vector<Point> points;
   for (size_t s = 0; s < gen.writers.size(); ++s) {
     if (!changed[s]) continue;
@@ -579,16 +577,9 @@ void ServeLoop::RepartitionLocked(int new_num_shards,
 MigrationStats ServeLoop::migration_stats() const {
   // One sequence point: every coordinator field is copied under the same
   // mutex FinishMigration publishes under, so the snapshot can never be a
-  // torn mix of before/after a migration. stall_copies is a live counter
-  // owned by the shard writers, not the coordinator; it rides along as a
-  // point-in-time read.
-  MigrationStats stats;
-  {
-    MutexLock lock(&mig_mu_);
-    stats = mig_;
-  }
-  stats.stall_copies = stall_ctr_->value();
-  return stats;
+  // torn mix of before/after a migration.
+  MutexLock lock(&mig_mu_);
+  return mig_;
 }
 
 void ServeLoop::MonitorLoop() {
@@ -762,14 +753,13 @@ void ServeLoop::WriterLoop(std::shared_ptr<WriterGen> gen, int s) {
         w.applied += batch.size();
       }
       w.flush_cv.NotifyAll();
-    } else if (!migrating) {
-      // Idle wake-up: free any copy-on-stall zombie whose parked reader
-      // has let go (ApplyBatch reaps on its own, but an idle shard would
-      // otherwise hold the duplicate instance until destruction). Never
-      // during a migration: a CLOSED carried-shard writer co-exists with
-      // its successor until retire, and only one of them may touch the
-      // VersionedIndex (the successor, once its gate opens).
-      shard.ReapRetired();
+    } else {
+      // Idle wake-up: free retired snapshots whose readers have moved on
+      // (every publish pumps reclamation itself, but an idle shard would
+      // otherwise keep its last ones in limbo until the next write).
+      // Reclaim touches only the epoch domain, so a CLOSED carried-shard
+      // writer may run it next to its successor.
+      shard.Reclaim();
     }
 
     // Migration capture: once everything submitted before dual-write began
@@ -805,7 +795,7 @@ void ServeLoop::WriterLoop(std::shared_ptr<WriterGen> gen, int s) {
         MutexLock lock(&w.monitor_mu);
         recent = RecentWorkloadLocked(w, *gen, s);
       }
-      // Per-shard rebuild: only this shard's left-right pair re-levels;
+      // Per-shard rebuild: only this shard publishes a fresh instance;
       // every other shard keeps serving its current snapshots.
       shard.Rebuild(recent);
       {

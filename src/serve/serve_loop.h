@@ -51,8 +51,9 @@
 //              coordinator a copy of its authoritative point set.
 //              captured ∪ delta now covers every op ever submitted to a
 //              changed cell (overlap is fine — replay is idempotent per
-//              SanitizeOps). Carried cells' ops keep applying to their
-//              live shard, which moves to the new generation as-is.
+//              VersionedIndex::ApplyToData). Carried cells' ops keep
+//              applying to their live shard, which moves to the new
+//              generation as-is.
 //   BUILD:     the coordinator cuts the new router (every cell changed:
 //              fresh quantiles of all captured points; otherwise only the
 //              flagged boundaries re-place, between their kept
@@ -124,12 +125,6 @@ struct ServeOptions {
   // Snapshots carry their exact point membership (testing only; O(shard)
   // copy per publish).
   bool track_points = false;
-  // Copy-on-stall deadline per shard writer: a reader parking a snapshot
-  // past this many ms no longer stalls that shard's writer (or a
-  // migration's capture phase) — the writer retires the parked instance
-  // and builds a fresh one from the authoritative set instead. <= 0
-  // restores wait-forever. See VersionedIndexOptions::writer_stall_ms.
-  int writer_stall_ms = 250;
   // Capacity of each shard's recent-query ring that seeds drift-triggered
   // rebuilds and repartition router cuts.
   size_t recent_window = 2048;
@@ -151,8 +146,8 @@ struct ServeOptions {
 // Counters of the live-migration coordinator; all monotone except the
 // last_* fields, which describe the most recent completed migration.
 // migration_stats() returns a mutually CONSISTENT snapshot: every field
-// except stall_copies is published under one mutex at the end of each
-// migration (a single sequence point), so an observer can rely on e.g.
+// is published under one mutex at the end of each migration (a single
+// sequence point), so an observer can rely on e.g.
 // incremental <= migrations and last_moved_points <= total_moved_points —
 // independently-read atomics used to allow torn mixes mid-publication.
 struct MigrationStats {
@@ -162,8 +157,6 @@ struct MigrationStats {
   int64_t last_carried_shards = 0; // shards carried by the last migration
   int64_t last_moved_points = 0;   // points captured+rebuilt last time
   int64_t total_moved_points = 0;  // across all migrations
-  int64_t stall_copies = 0;        // writer copy-on-stall fallbacks (all
-                                   // shards, incl. retired generations)
 };
 
 // Thread-safety: queries, SubmitInsert/SubmitRemove, TriggerRebuild and
@@ -222,8 +215,8 @@ class ServeLoop {
   // one — or an infeasible plan (one shard, balanced tiling, nearly
   // everything moving) re-cuts every cell: the explicit full re-level.
   // Returns false without migrating when the loop is stopping.
-  // Serialized: concurrent calls run one migration after another. Reader
-  // backpressure on the capture phase is bounded by writer_stall_ms.
+  // Serialized: concurrent calls run one migration after another. Readers
+  // never hold up the capture phase: shard writers never wait for them.
   bool TriggerRepartition(int new_num_shards = 0)
       EXCLUDES(repartition_mu_);
 
@@ -243,9 +236,8 @@ class ServeLoop {
     return repartitions_.load(std::memory_order_acquire);
   }
   // Migration-coordinator counters: incremental vs full migrations,
-  // moved/carried shards and moved points of the last migration, and the
-  // writer copy-on-stall fallback count. One sequence point (see
-  // MigrationStats above).
+  // moved/carried shards and moved points of the last migration. One
+  // sequence point (see MigrationStats above).
   MigrationStats migration_stats() const EXCLUDES(mig_mu_);
   // max/mean combined shard load of the monitor's last sample (1.0 =
   // balanced; only meaningful when the monitor is enabled).
@@ -432,7 +424,7 @@ class ServeLoop {
 
   ServeOptions opts_;
   // Before index_: every shard's VersionedIndex holds handles into the
-  // registry (stall counter, publish counter, zombie gauge) and a pointer
+  // registry (publish and dropped-op counters, limbo gauge) and a pointer
   // to the journal, and cache_/engine_/admission_ register through them
   // too. Destroyed LAST of the serve members, so no handle ever dangles.
   obs::MetricsRegistry metrics_;
@@ -452,16 +444,15 @@ class ServeLoop {
   // accessor; it is bumped inside FinishMigration's mig_mu_ block, so it
   // never runs ahead of mig_.migrations.
   std::atomic<int64_t> repartitions_{0};
-  // Every MigrationStats field except stall_copies, published as one
-  // block at the end of each migration — the single sequence point
-  // migration_stats() snapshots under.
+  // Every MigrationStats field, published as one block at the end of each
+  // migration — the single sequence point migration_stats() snapshots
+  // under.
   mutable Mutex mig_mu_ ACQUIRED_AFTER(repartition_mu_);
   MigrationStats mig_ GUARDED_BY(mig_mu_);
   std::atomic<double> last_imbalance_{1.0};
   // Registry handles the loop updates directly (the shard/cache/engine/
   // admission handles live in those components).
   obs::Counter* rebuilds_ctr_ = nullptr;
-  obs::Counter* stall_ctr_ = nullptr;  // migration_stats().stall_copies
   obs::Counter* migrations_ctr_ = nullptr;
   obs::Counter* migrations_incr_ctr_ = nullptr;
   obs::Counter* moved_points_ctr_ = nullptr;

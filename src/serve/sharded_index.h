@@ -16,7 +16,7 @@
 // The tiling is no longer frozen at construction. The engine is
 // snapshot-swapped at TWO levels:
 //   1. per shard: each VersionedIndex publishes immutable IndexSnapshots
-//      (left-right instance pair, drain-signalled reclamation);
+//      (one instance each, cloned per publish, epoch reclamation);
 //   2. per topology: the router TOGETHER WITH its shard set is one
 //      immutable, epoch-versioned ShardTopology published behind an atomic
 //      cell. A live repartition (see ServeLoop) builds a new topology from
@@ -25,8 +25,8 @@
 //      shards (the topology shared_ptr keeps them alive), so readers never
 //      block and never see a half-migrated router.
 //
-// Each shard is an independent VersionedIndex: its own left-right instance
-// pair, its own snapshot cell, its own single-writer contract. Within one
+// Each shard is an independent VersionedIndex: its own index instance,
+// its own snapshot cell, its own single-writer contract. Within one
 // topology a point lives in exactly one shard (routing is a pure function
 // of coordinates), so cross-shard queries union per-shard results with no
 // deduplication:
@@ -156,7 +156,7 @@ struct ShardedIndexOptions {
   int num_shards = 1;
   // Applied to every shard; the per-shard observability attribution
   // (shard_id, epoch) is stamped by BuildTopology, so callers set
-  // only the shared fields (handles, stall deadline, track_points).
+  // only the shared fields (handles, track_points).
   VersionedIndexOptions versioned;
   // Optional metrics registry: when set, the facade publishes the current
   // topology's epoch and shard count as gauges (serve_topology_epoch,
@@ -349,9 +349,9 @@ class ShardedVersionedIndex {
 
   // Fills `out` with the current topology and every shard's live snapshot
   // (cleared first). Each entry stays valid (and its shard unchanged) for
-  // as long as the caller holds it, but holding it also stalls that
-  // shard's writer like any other parked snapshot — hold per batch block,
-  // not indefinitely.
+  // as long as the caller holds it. Writers never wait for it, but it
+  // keeps every snapshot retired meanwhile in epoch limbo — hold per
+  // batch block, not indefinitely.
   void AcquireAll(SnapshotSet* out) const;
 
   // --- cross-shard queries (any thread) ---

@@ -1,102 +1,116 @@
 #include "storage/page_store.h"
 
+#include <algorithm>
 #include <utility>
 
+#include "common/simd.h"
+
 namespace wazi {
+namespace {
+
+// Slots left unused at the front of an owned page buffer. make_shared puts
+// the reference counts in front of the buffer; 48 bytes of padding after
+// them keep the points off the counts' cache line, so the writer's count
+// updates on every copy of the store never evict a reader's points.
+constexpr size_t kPagePad = 2;
+
+}  // namespace
+
+PageStore::PageStore(const PageStore& other)
+    : base_(other.base_),
+      pages_(other.pages_),
+      num_points_(other.num_points_) {
+  for (PageRec& rec : pages_) rec.writable = nullptr;
+}
+
+PageStore& PageStore::operator=(const PageStore& other) {
+  if (this != &other) *this = PageStore(other);
+  return *this;
+}
 
 void PageStore::BulkLoad(std::vector<Point> points,
                          const std::vector<uint32_t>& page_offsets) {
-  base_ = std::move(points);
-  owned_.clear();
+  num_points_ = points.size();
+  base_ = std::make_shared<const std::vector<Point>>(std::move(points));
   pages_.clear();
-  num_points_ = base_.size();
   if (page_offsets.empty()) return;
   pages_.reserve(page_offsets.size() - 1);
   for (size_t i = 0; i + 1 < page_offsets.size(); ++i) {
     PageRec rec;
-    rec.begin = page_offsets[i];
+    rec.begin = base_->data() + page_offsets[i];
     rec.len = page_offsets[i + 1] - page_offsets[i];
-    pages_.push_back(rec);
+    pages_.push_back(std::move(rec));
   }
 }
 
 void PageStore::Clear() {
-  base_.clear();
+  base_.reset();
   pages_.clear();
-  owned_.clear();
   num_points_ = 0;
 }
 
-Span PageStore::PageSpan(int32_t page_id) const {
-  const PageRec& rec = pages_[page_id];
-  if (rec.owned >= 0) {
-    const std::vector<Point>& v = owned_[rec.owned];
-    return Span{v.data(), v.data() + v.size()};
-  }
-  return Span{base_.data() + rec.begin, base_.data() + rec.begin + rec.len};
+void PageStore::Own(PageRec& rec, const Point* pts, size_t n,
+                    size_t capacity) {
+  std::shared_ptr<Point[]> page =
+      std::make_shared_for_overwrite<Point[]>(kPagePad + capacity);
+  rec.writable = page.get() + kPagePad;
+  std::copy(pts, pts + n, rec.writable);
+  rec.owned = std::move(page);
+  rec.begin = rec.writable;
+  rec.len = static_cast<uint32_t>(n);
+  rec.capacity = static_cast<uint32_t>(capacity);
 }
 
-size_t PageStore::PageSize(int32_t page_id) const {
-  const PageRec& rec = pages_[page_id];
-  return rec.owned >= 0 ? owned_[rec.owned].size() : rec.len;
-}
-
-std::vector<Point>& PageStore::MakeOwned(int32_t page_id) {
-  PageRec& rec = pages_[page_id];
-  if (rec.owned < 0) {
-    std::vector<Point> copy(base_.begin() + rec.begin,
-                            base_.begin() + rec.begin + rec.len);
-    rec.owned = static_cast<int32_t>(owned_.size());
-    owned_.push_back(std::move(copy));
-  }
-  return owned_[rec.owned];
+void PageStore::Reserve(PageRec& rec, size_t extra) {
+  if (rec.writable != nullptr && rec.len + extra <= rec.capacity) return;
+  // A shared page is copied with one slot to spare (the usual next write
+  // is one Append); a full owned page doubles.
+  const size_t n = rec.len;
+  Own(rec, rec.begin, n,
+      rec.writable != nullptr ? 2 * n + extra : n + extra + 1);
 }
 
 void PageStore::Append(int32_t page_id, const Point& p) {
-  MakeOwned(page_id).push_back(p);
+  PageRec& rec = pages_[page_id];
+  Reserve(rec, 1);
+  rec.writable[rec.len++] = p;
   ++num_points_;
 }
 
 bool PageStore::Remove(int32_t page_id, double x, double y) {
-  std::vector<Point>& pts = MakeOwned(page_id);
-  for (size_t i = 0; i < pts.size(); ++i) {
-    if (pts[i].x == x && pts[i].y == y) {
-      pts[i] = pts.back();
-      pts.pop_back();
-      --num_points_;
-      return true;
-    }
-  }
-  return false;
+  PageRec& rec = pages_[page_id];
+  const size_t i = simd::FindCoord(rec.begin, rec.len, x, y,
+                                   /*counters=*/nullptr);
+  if (i == simd::kNotFound) return false;
+  Reserve(rec, 0);
+  rec.writable[i] = rec.writable[rec.len - 1];
+  --rec.len;
+  --num_points_;
+  return true;
 }
 
-int32_t PageStore::AllocatePage(std::vector<Point> pts) {
+int32_t PageStore::AllocatePage(const std::vector<Point>& pts) {
   num_points_ += pts.size();
-  PageRec rec;
-  rec.owned = static_cast<int32_t>(owned_.size());
-  owned_.push_back(std::move(pts));
-  pages_.push_back(rec);
+  pages_.emplace_back();
+  Own(pages_.back(), pts.data(), pts.size(), pts.size() + 1);
   return static_cast<int32_t>(pages_.size() - 1);
 }
 
-void PageStore::ReplacePage(int32_t page_id, std::vector<Point> pts) {
-  num_points_ -= PageSize(page_id);
-  num_points_ += pts.size();
+void PageStore::ReplacePage(int32_t page_id,
+                            const std::vector<Point>& pts) {
   PageRec& rec = pages_[page_id];
-  if (rec.owned < 0) {
-    rec.owned = static_cast<int32_t>(owned_.size());
-    owned_.push_back(std::move(pts));
-    rec.len = 0;
-  } else {
-    owned_[rec.owned] = std::move(pts);
-  }
+  num_points_ -= rec.len;
+  num_points_ += pts.size();
+  Own(rec, pts.data(), pts.size(), pts.size() + 1);
 }
 
 size_t PageStore::SizeBytes() const {
   size_t bytes = sizeof(*this);
-  bytes += base_.capacity() * sizeof(Point);
+  if (base_ != nullptr) bytes += base_->capacity() * sizeof(Point);
   bytes += pages_.capacity() * sizeof(PageRec);
-  for (const auto& v : owned_) bytes += v.capacity() * sizeof(Point);
+  for (const PageRec& rec : pages_) {
+    if (rec.owned != nullptr) bytes += rec.capacity * sizeof(Point);
+  }
   return bytes;
 }
 

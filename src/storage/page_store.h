@@ -6,12 +6,22 @@
 // Updates copy a page out of the base array into owned storage on first
 // write, so bulk scan locality is preserved for read-mostly workloads
 // while inserts/deletes stay cheap and local.
+//
+// Copying a store shares storage instead of duplicating it: the copy
+// holds the same base array and the same owned pages, every one of them
+// marked shared, so a copy costs O(pages), not O(points). The first
+// Append/Remove/ReplacePage on a shared page gives the copy a page of its
+// own; later writes to that page land in place. The source is never
+// written through a copy, so a published (read-only) store can be copied
+// while readers scan it. Whether a page may be written in place is
+// recorded per page at copy time, never inferred from reference counts.
 
 #ifndef WAZI_STORAGE_PAGE_STORE_H_
 #define WAZI_STORAGE_PAGE_STORE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/geometry.h"
@@ -30,6 +40,12 @@ struct Span {
 class PageStore {
  public:
   PageStore() = default;
+  // Page-sharing copy (see the header comment): every page of `other` is
+  // shared, none is writable in place by the copy.
+  PageStore(const PageStore& other);
+  PageStore& operator=(const PageStore& other);
+  PageStore(PageStore&&) noexcept = default;
+  PageStore& operator=(PageStore&&) noexcept = default;
 
   // Adopts `points` (already in final clustered order). `page_offsets`
   // holds each page's start index plus a final end-of-data sentinel, so
@@ -43,35 +59,51 @@ class PageStore {
   int32_t num_pages() const { return static_cast<int32_t>(pages_.size()); }
   size_t num_points() const { return num_points_; }
 
-  Span PageSpan(int32_t page_id) const;
-  size_t PageSize(int32_t page_id) const;
+  Span PageSpan(int32_t page_id) const {
+    const PageRec& rec = pages_[page_id];
+    return Span{rec.begin, rec.begin + rec.len};
+  }
+  size_t PageSize(int32_t page_id) const { return pages_[page_id].len; }
 
-  // Appends a point to a page (copy-on-write from the base array).
+  // Appends a point to a page (copy-on-write from shared storage).
   void Append(int32_t page_id, const Point& p);
 
-  // Removes one point with matching coordinates; false if absent.
+  // Removes one point with matching coordinates; false if absent. A miss
+  // copies nothing.
   bool Remove(int32_t page_id, double x, double y);
 
-  // New page owning `pts`; returns its id.
-  int32_t AllocatePage(std::vector<Point> pts);
+  // New page holding a copy of `pts`; returns its id.
+  int32_t AllocatePage(const std::vector<Point>& pts);
 
-  // Replaces a page's contents (used by leaf splits).
-  void ReplacePage(int32_t page_id, std::vector<Point> pts);
+  // Replaces a page's contents with a copy of `pts` (used by leaf splits).
+  void ReplacePage(int32_t page_id, const std::vector<Point>& pts);
 
+  // Bytes this store references, shared storage included.
   size_t SizeBytes() const;
 
  private:
   struct PageRec {
-    uint32_t begin = 0;   // into base_, when owned < 0
+    // The page's points: a span of base_ or of `owned`. Kept in the
+    // record so a read is one lookup, whoever owns the storage.
+    const Point* begin = nullptr;
     uint32_t len = 0;
-    int32_t owned = -1;   // into owned_, or -1 when backed by base_
+    uint32_t capacity = 0;  // of `writable`
+    // Non-null iff this store allocated `owned` and no copy of the store
+    // has been made since: the only pages written in place.
+    Point* writable = nullptr;
+    // The page's own buffer, or null when the page is a span of base_.
+    std::shared_ptr<const Point[]> owned;
   };
 
-  std::vector<Point>& MakeOwned(int32_t page_id);
+  // Gives the page a buffer of its own, `capacity` slots holding the `n`
+  // points at `pts`, writable in place.
+  static void Own(PageRec& rec, const Point* pts, size_t n, size_t capacity);
+  // Makes the page writable in place with room for `extra` more points,
+  // copying it first if it is shared or full.
+  static void Reserve(PageRec& rec, size_t extra);
 
-  std::vector<Point> base_;
+  std::shared_ptr<const std::vector<Point>> base_;
   std::vector<PageRec> pages_;
-  std::vector<std::vector<Point>> owned_;
   size_t num_points_ = 0;
 };
 

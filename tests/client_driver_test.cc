@@ -33,13 +33,6 @@ BuildOptions FastOpts() {
   return opts;
 }
 
-double RunQps(ServeLoop& loop, const Workload& workload,
-              ClientLoadOptions opts) {
-  const ClientLoadResult r = RunClientLoad(loop, workload, opts);
-  EXPECT_GT(r.elapsed_seconds, 0.0);
-  return static_cast<double>(r.queries) / r.elapsed_seconds;
-}
-
 TEST(ClientDriverTest, WallClockCoversConfiguredDuration) {
   TestScenario s = MakeScenario(Region::kCaliNev, 2000, 40, 2e-3, 701);
   ServeOptions opts;
@@ -62,27 +55,40 @@ TEST(ClientDriverTest, SlowThreadSpawnCannotInflateQps) {
   opts.auto_rebuild = false;
   ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(), opts);
 
-  ClientLoadOptions base;
-  base.threads = 4;
-  base.seconds = 0.5;
-  const double base_qps = RunQps(loop, s.workload, base);
-  ASSERT_GT(base_qps, 0.0);
-
   // Stretch the spawn phase to ~1.2 thread-seconds of pre-clock time.
   // Pre-fix, already-spawned clients burned that whole stretch issuing
-  // counted queries outside the timed window, inflating QPS by ~1.6x;
-  // with the start latch the two runs measure the same engine.
-  ClientLoadOptions slow = base;
-  slow.spawn_hook = [](int) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // counted queries outside the timed window, inflating QPS by ~1.6x.
+  // The checks below count queries instead of timing two runs against
+  // each other, so they do not move with the machine's speed.
+  constexpr int kThreads = 4;
+  std::atomic<int64_t> reads{0};
+  std::atomic<int64_t> reads_during_spawn{0};
+  std::vector<std::atomic<int64_t>> reads_by_thread(kThreads);
+  ClientLoadOptions slow;
+  slow.threads = kThreads;
+  slow.seconds = 0.5;
+  slow.read_hook = [&](int t, bool, const Rect&) {
+    reads.fetch_add(1);
+    reads_by_thread[static_cast<size_t>(t)].fetch_add(1);
   };
-  const double slow_qps = RunQps(loop, s.workload, slow);
+  slow.spawn_hook = [&](int) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    reads_during_spawn.fetch_add(reads.load());
+  };
+  const ClientLoadResult r = RunClientLoad(loop, s.workload, slow);
 
-  EXPECT_LT(slow_qps, base_qps * 1.35)
-      << "slow spawns inflated QPS: " << slow_qps << " vs " << base_qps;
-  // And the hook must not TANK throughput either (sanity that the latch
-  // releases everyone).
-  EXPECT_GT(slow_qps, base_qps * 0.4);
+  // No client issued a query while later ones were still spawning...
+  EXPECT_EQ(reads_during_spawn.load(), 0)
+      << "clients ran before the wall clock started";
+  // ...so every counted query ran inside the timed window, and QPS is
+  // the window's queries over the window's wall time.
+  EXPECT_EQ(r.queries, reads.load());
+  EXPECT_GE(r.elapsed_seconds, slow.seconds);
+  // The latch released every client (the hook must not starve any).
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_GT(reads_by_thread[static_cast<size_t>(t)].load(), 0)
+        << "client " << t;
+  }
 }
 
 TEST(ClientDriverTest, HotFractionConcentratesReadMass) {

@@ -1,9 +1,9 @@
 // Epoch-based reclamation (serve/epoch.h) under the serving engine's real
-// lifecycles: exact limbo accounting on private domains, the parked-reader
-// / copy-on-stall interplay (a stamped-but-idle reader must trigger the
-// writer's stall fallback, never block reclamation of pre-stamp limbo or
-// writer progress), non-blocking VersionedIndex destruction with a reader
-// still parked, and a multi-thread stress across forced repartitions.
+// lifecycles: exact limbo accounting on private domains, a parked reader
+// that never blocks the writer (it only pins the snapshots retired after
+// its stamp, and keeps reading its own version), non-blocking
+// VersionedIndex destruction with a reader still parked, and a
+// multi-thread stress across forced repartitions.
 // Every test here must stay clean under TSan and ASan/UBSan — the CI
 // sanitizer jobs run this binary — and the accounting invariant
 // (retired == reclaimed + limbo at every step) is checked explicitly, so
@@ -127,10 +127,10 @@ TEST(EpochDomainTest, LateReaderDoesNotPinEarlierRetires) {
   ExpectAccounting(domain);
 }
 
-TEST(EpochReclaimTest, ParkedReaderTriggersCopyOnStallNotReclamationStall) {
+TEST(EpochReclaimTest, ParkedReaderNeverBlocksTheWriter) {
   EpochDomain domain;
   obs::MetricsRegistry registry;
-  obs::Gauge* zombies = registry.GetGauge("serve_zombie_instances");
+  obs::Gauge* limbo = registry.GetGauge("serve_epoch_limbo");
 
   Dataset data = MakeUniformDataset(3000, 91);
   QueryGenOptions qopts;
@@ -138,99 +138,117 @@ TEST(EpochReclaimTest, ParkedReaderTriggersCopyOnStallNotReclamationStall) {
   qopts.selectivity = 1e-2;
   qopts.seed = 9;
   const Workload workload = GenerateUniformWorkload(data.bounds, qopts);
+  std::vector<std::vector<int64_t>> truth;
+  for (const Rect& q : workload.queries) truth.push_back(TruthIds(data, q));
 
   VersionedIndexOptions vopts;
   vopts.epoch_domain = &domain;
-  vopts.writer_stall_ms = 25;  // fast stall fallback for the test
-  vopts.zombie_gauge = zombies;
+  vopts.limbo_gauge = limbo;
   vopts.track_points = true;
+  constexpr int kBatches = 60;
   {
     VersionedIndex index(WaziFactory(), data, workload, FastOpts(), vopts);
-
-    // Warm-up churn with no parked readers: retires drain on their own.
-    std::vector<UpdateOp> batch;
-    for (int i = 0; i < 8; ++i) {
-      batch.push_back(UpdateOp::Insert(Point{0.1 + 0.01 * i, 0.2, 500000 + i}));
+    // One publish first, so the snapshot the reader parks on owns pages
+    // of its own that the writer's clones then share.
+    std::vector<UpdateOp> warm;
+    for (int i = 0; i < 64; ++i) {
+      const Point p{0.005 + 0.015 * i, 0.9 - 0.012 * i, 600000 + i};
+      warm.push_back(UpdateOp::Insert(p));
+      data.points.push_back(p);
     }
-    index.ApplyBatch(batch);
-    index.ReapRetired();
-    ExpectAccounting(domain);
+    index.ApplyBatch(warm);
+    index.Reclaim();
+    for (size_t i = 0; i < workload.queries.size(); ++i) {
+      truth[i] = TruthIds(data, workload.queries[i]);
+    }
+    const uint64_t v0 = index.version();
 
-    // Park a reader on the live snapshot from another thread.
+    // A reader parks on the live snapshot and keeps querying it while
+    // the writer publishes; every answer must be its own membership.
     std::mutex mu;
     std::condition_variable cv;
-    enum class Stage { kStart, kParked, kReleaseRequested, kDone };
-    Stage stage = Stage::kStart;
-    uint64_t parked_version = 0;
+    bool parked = false;
+    std::atomic<bool> writes_done{false};
+    std::atomic<int64_t> mismatches{0};
+    std::atomic<int64_t> passes{0};
     std::thread reader([&] {
       SnapshotRef snap = index.Acquire();
+      EXPECT_EQ(snap->version(), v0);
       {
         std::lock_guard<std::mutex> lock(mu);
-        parked_version = snap->version();
-        stage = Stage::kParked;
+        parked = true;
       }
       cv.notify_all();
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return stage == Stage::kReleaseRequested; });
+      // At least one pass after the last publish, so the final check
+      // reads pages the writer's clones shared with this snapshot.
+      bool last = false;
+      while (!last) {
+        last = writes_done.load();
+        for (size_t i = 0; i < workload.queries.size(); ++i) {
+          std::vector<Point> hits;
+          QueryStats qs;
+          snap->index().RangeQuery(workload.queries[i], &hits, &qs);
+          if (SortedIds(hits) != truth[i]) mismatches.fetch_add(1);
+        }
+        passes.fetch_add(1);
       }
-      // The writer stalled out and replaced the instance underneath the
-      // published pointer; the PARKED snapshot must still serve its
-      // original membership untouched (the zombie instance).
-      std::vector<Point> hits;
-      QueryStats qs;
-      snap->index().RangeQuery(workload.queries[0], &hits, &qs);
-      EXPECT_EQ(SortedIds(hits), BruteIds(*snap->points(),
-                                          workload.queries[0]));
+      EXPECT_EQ(snap->points()->size(), data.points.size());
       snap.Release();
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        stage = Stage::kDone;
-      }
-      cv.notify_all();
     });
     {
       std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return stage == Stage::kParked; });
+      cv.wait(lock, [&] { return parked; });
     }
 
-    // Two batches against the parked reader: the writer must make
-    // progress via copy-on-stall instead of waiting forever.
-    const uint64_t version_before = index.version();
-    index.ApplyBatch({UpdateOp::Insert(Point{0.5, 0.5, 600001})});
-    index.ApplyBatch({UpdateOp::Insert(Point{0.6, 0.6, 600002})});
-    EXPECT_GT(index.version(), version_before);
-    EXPECT_GE(index.stall_copies(), 1);
-    EXPECT_GE(zombies->value(), 1);
+    // Publish kBatches batches with the reader parked: inserts packed
+    // into one corner (leaf splits) and removes of original points.
+    const auto t0 = std::chrono::steady_clock::now();
+    int64_t next_id = 700000;
+    for (int b = 0; b < kBatches; ++b) {
+      std::vector<UpdateOp> batch;
+      for (int j = 0; j < 8; ++j) {
+        batch.push_back(UpdateOp::Insert(
+            Point{0.01 + 1e-4 * static_cast<double>(next_id % 97),
+                  0.01 + 1e-4 * static_cast<double>(next_id % 89), next_id}));
+        ++next_id;
+      }
+      batch.push_back(UpdateOp::Remove(data.points[static_cast<size_t>(b)]));
+      index.ApplyBatch(batch);
+    }
+    const double writer_s = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+    EXPECT_EQ(index.version(), v0 + kBatches);
+    EXPECT_LT(writer_s, 10.0) << "the writer waited on the parked reader";
 
-    // The parked stamp pins the snapshots retired after it...
-    EXPECT_GT(domain.limbo_size(), 0u);
+    // The parked stamp pins every snapshot retired after it, and the
+    // gauge (set after each publish's reclamation pump) says so.
+    EXPECT_EQ(domain.limbo_size(), static_cast<size_t>(kBatches));
+    EXPECT_EQ(limbo->value(), kBatches);
     ExpectAccounting(domain);
-    // ...but reclamation itself never blocks: Reclaim returns (freeing
-    // nothing newer than the stamp) while the reader stays parked.
-    (void)domain.Reclaim();
-    ExpectAccounting(domain);
 
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      stage = Stage::kReleaseRequested;
-    }
-    cv.notify_all();
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return stage == Stage::kDone; });
-    }
+    writes_done.store(true);
     reader.join();
-    EXPECT_GT(parked_version, 0u);
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_GE(passes.load(), 1);
 
-    // Quiesced: everything drains — limbo empties, zombies reap.
-    index.ReapRetired();
+    // Released: limbo drains on the next pump.
+    index.Reclaim();
     EXPECT_EQ(domain.limbo_size(), 0u);
+    EXPECT_EQ(limbo->value(), 0);
     EXPECT_EQ(domain.retired_total(), domain.reclaimed_total());
-    EXPECT_EQ(zombies->value(), 0);
+
+    // The live version holds every write.
+    SnapshotRef live = index.Acquire();
+    EXPECT_EQ(live->points()->size(),
+              data.points.size() + kBatches * 8 - kBatches);
+    std::vector<Point> all;
+    QueryStats qs;
+    live->index().RangeQuery(index.domain(), &all, &qs);
+    EXPECT_EQ(SortedIds(all), BruteIds(*live->points(), index.domain()));
   }
-  // Destruction retired the remaining live state into the (empty-reader)
-  // domain and reclaimed it: nothing may be left behind.
+  // Destruction retired the live snapshot into the (empty-reader) domain
+  // and reclaimed it: nothing may be left behind.
   EXPECT_EQ(domain.limbo_size(), 0u);
   EXPECT_EQ(domain.retired_total(), domain.reclaimed_total());
 }
@@ -310,7 +328,6 @@ TEST(EpochReclaimTest, StressAcrossForcedRepartitions) {
   ShardedIndexOptions sopts;
   sopts.num_shards = 2;
   sopts.versioned.epoch_domain = &domain;
-  sopts.versioned.writer_stall_ms = 25;
   std::atomic<int64_t> mismatches{0};
   {
     ShardedVersionedIndex index(WaziFactory(), data, workload, FastOpts(),

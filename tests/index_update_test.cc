@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "index/spatial_index.h"
 #include "tests/test_util.h"
 
@@ -50,6 +54,45 @@ TEST_P(UpdatableIndexTest, RemoveUndoesInsert) {
   ASSERT_TRUE(index->Remove(p));
   EXPECT_FALSE(index->PointQuery(p));
   EXPECT_FALSE(index->Remove(p));
+}
+
+// CloneForUpdate: a clone takes updates without changing its source.
+// The R-trees have no hook (the serve writer rebuilds them).
+TEST_P(UpdatableIndexTest, CloneTakesUpdatesSourceStaysPut) {
+  const std::string name = GetParam();
+  const TestScenario s = MakeScenario(Region::kIberia, 3000, 120, 1e-3, 135);
+  auto index = MakeIndex(name);
+  BuildOptions opts;
+  opts.leaf_capacity = 64;
+  index->Build(s.data, s.workload, opts);
+  std::unique_ptr<SpatialIndex> clone = index->CloneForUpdate();
+  if (name == "str" || name == "cur" || name == "hrr") {
+    EXPECT_EQ(clone, nullptr) << name;
+    return;
+  }
+  ASSERT_NE(clone, nullptr) << name;
+  EXPECT_EQ(clone->name(), index->name());
+
+  Dataset updated = s.data;
+  const std::vector<Point> stream =
+      GenerateInsertStream(s.data.bounds, 1500, 3000000, 136);
+  for (const Point& p : stream) {
+    ASSERT_TRUE(clone->Insert(p)) << name;
+    updated.points.push_back(p);
+  }
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(clone->Remove(updated.points[static_cast<size_t>(i)]))
+        << name;
+  }
+  updated.points.erase(updated.points.begin(), updated.points.begin() + 200);
+  for (size_t qi = 0; qi < 60; ++qi) {
+    const Rect& q = s.workload.queries[qi];
+    std::vector<Point> old_hits, new_hits;
+    index->RangeQuery(q, &old_hits);
+    clone->RangeQuery(q, &new_hits);
+    ASSERT_EQ(SortedIds(old_hits), TruthIds(s.data, q)) << name << " " << qi;
+    ASSERT_EQ(SortedIds(new_hits), TruthIds(updated, q)) << name << " " << qi;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

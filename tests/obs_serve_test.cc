@@ -191,50 +191,50 @@ TEST(ObsServeTest, StatsViewsMirrorRegistryCounters) {
   EXPECT_NE(json.find("\"serve_cache_hits_total\""), std::string::npos);
 }
 
-TEST(ObsServeTest, StallCopyCountersMatchStatsAndJournal) {
-  TestScenario s = MakeScenario(Region::kNewYork, 3000, 60, 2e-3, 403);
+// No silent drops: every op the writer refuses is counted. One batch holds
+// a duplicate-id insert and a stale-coordinate remove next to two valid
+// ops; the counter reads 2 and the valid ops still publish.
+TEST(ObsServeTest, DroppedWriterOpsAreCounted) {
+  TestScenario s = MakeScenario(Region::kJapan, 2000, 40, 2e-3, 405);
   s.data = DedupeCoords(s.data);
+  const Point stored = s.data.points[5];
+  const Point fresh{0.5, 0.5, 95000000};
+  const Point duplicate{0.25, 0.75, stored.id};
+  const Point stale{stored.x + 1e-3, stored.y, stored.id};
+  const std::vector<UpdateOp> batch = {
+      UpdateOp::Insert(fresh), UpdateOp::Insert(duplicate),
+      UpdateOp::Remove(stale), UpdateOp::Remove(s.data.points[6])};
 
+  obs::MetricsRegistry registry;
+  obs::Counter* dropped = registry.GetCounter("serve_writer_ops_dropped_total");
+  VersionedIndexOptions vopts;
+  vopts.dropped_counter = dropped;
+  VersionedIndex index(WaziFactory(), s.data, s.workload, FastOpts(), vopts);
+  const uint64_t v0 = index.version();
+  index.ApplyBatch(batch);
+  EXPECT_EQ(dropped->value(), 2);
+  EXPECT_EQ(index.version(), v0 + 1);
+  EXPECT_EQ(index.num_points(), s.data.points.size());  // +1 insert -1 remove
+  QueryStats qs;
+  EXPECT_TRUE(index.Acquire()->index().PointQuery(fresh, &qs));
+  EXPECT_TRUE(index.Acquire()->index().PointQuery(stored, &qs));
+
+  // The loop wires the same counter into its registry.
   ServeOptions opts;
-  opts.num_shards = 2;
   opts.num_threads = 1;
   opts.auto_rebuild = false;
-  opts.writer_coalesce_ms = 0;
-  opts.writer_batch_limit = 32;
-  opts.writer_stall_ms = 50;
   ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(), opts);
-
-  // Park a snapshot of every shard so the next publishes must fall back
-  // to copy-on-stall (the PR-5 defect regression, observed through the
-  // registry this time).
-  ShardedVersionedIndex::SnapshotSet pinned;
-  loop.sharded_index().AcquireAll(&pinned);
-
-  Rng rng(7654);
-  for (int i = 0; i < 400; ++i) {
-    Point p;
-    p.x = rng.NextDouble();
-    p.y = rng.NextDouble();
-    p.id = 90000000 + i;
-    loop.SubmitInsert(p);
+  for (const UpdateOp& op : batch) {
+    if (op.kind == UpdateOp::Kind::kInsert) {
+      loop.SubmitInsert(op.point);
+    } else {
+      loop.SubmitRemove(op.point);
+    }
   }
   loop.Flush();
-
-  const obs::MetricsSnapshot snap = loop.metrics().Snapshot();
-  const int64_t stalls = snap.CounterValue("serve_stall_copies_total");
-  EXPECT_GE(stalls, 1);
-  EXPECT_EQ(stalls, loop.migration_stats().stall_copies);
-  // Each copy-on-stall parked at least one zombie and left a journal
-  // record behind.
-  EXPECT_GE(snap.GaugeValue("serve_zombie_instances"), 1);
-  const auto stall_events =
-      EventsOfKind(loop.journal(), obs::TraceEventKind::kStallCopy);
-  EXPECT_EQ(static_cast<int64_t>(stall_events.size()), stalls);
-  for (const obs::TraceEvent& e : stall_events) {
-    EXPECT_GE(e.shard, 0);
-    EXPECT_LT(e.shard, 2);
-    EXPECT_GE(e.a, 1);  // zombies parked at the time of the copy
-  }
+  EXPECT_EQ(loop.metrics().Snapshot().CounterValue(
+                "serve_writer_ops_dropped_total"),
+            2);
 }
 
 TEST(ObsServeTest, QueryTracingSamplesSpansIntoJournalAndHistogram) {

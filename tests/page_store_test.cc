@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "storage/leaf_dir.h"
 
 namespace wazi {
@@ -63,6 +66,74 @@ TEST(PageStoreTest, AllocateAndReplace) {
   store.ReplacePage(0, {});
   EXPECT_EQ(store.PageSize(0), 0u);
   EXPECT_EQ(store.num_points(), 2u);
+}
+
+// A copy shares every page's storage until it writes that page; writes
+// through the copy never reach the source.
+TEST(PageStoreTest, CopySharesPagesUntilWritten) {
+  PageStore src;
+  src.BulkLoad(MakePoints(9), {0, 3, 6, 9});
+  src.Append(2, Point{7, 7, 70});  // page 2 now owned by src
+  const int32_t extra = src.AllocatePage({Point{8, 8, 80}});
+
+  PageStore copy = src;
+  ASSERT_EQ(copy.num_pages(), src.num_pages());
+  for (int32_t p = 0; p < src.num_pages(); ++p) {
+    EXPECT_EQ(copy.PageSpan(p).begin, src.PageSpan(p).begin) << p;
+    EXPECT_EQ(copy.PageSpan(p).end, src.PageSpan(p).end) << p;
+  }
+
+  std::vector<Span> before;
+  for (int32_t p = 0; p < src.num_pages(); ++p) {
+    before.push_back(src.PageSpan(p));
+  }
+  const size_t src_points = src.num_points();
+
+  copy.Append(0, Point{9, 9, 90});         // base-backed page
+  EXPECT_TRUE(copy.Remove(2, 7, 7));       // page src owns
+  copy.ReplacePage(extra, {Point{1, 2, 81}, Point{3, 4, 82}});
+  EXPECT_FALSE(copy.Remove(1, 42, 42));    // a miss copies nothing
+
+  // Written pages moved to storage the copy owns; the rest still share.
+  EXPECT_NE(copy.PageSpan(0).begin, before[0].begin);
+  EXPECT_NE(copy.PageSpan(2).begin, before[2].begin);
+  EXPECT_NE(copy.PageSpan(extra).begin, before[extra].begin);
+  EXPECT_EQ(copy.PageSpan(1).begin, before[1].begin);
+  EXPECT_EQ(copy.PageSize(0), 4u);
+  EXPECT_EQ(copy.PageSize(2), 3u);
+  EXPECT_EQ(copy.num_points(), src_points + 1);  // +1 -1 +1
+
+  // The source is byte-for-byte what it was.
+  EXPECT_EQ(src.num_points(), src_points);
+  for (int32_t p = 0; p < src.num_pages(); ++p) {
+    EXPECT_EQ(src.PageSpan(p).begin, before[p].begin) << p;
+    EXPECT_EQ(src.PageSpan(p).end, before[p].end) << p;
+  }
+  EXPECT_EQ((src.PageSpan(2).end - 1)->id, 70);
+  EXPECT_EQ(src.PageSpan(extra).begin->id, 80);
+
+  // Later writes to a page the copy owns land in place.
+  const Point* owned = copy.PageSpan(0).begin;
+  EXPECT_TRUE(copy.Remove(0, 9, 9));
+  EXPECT_EQ(copy.PageSpan(0).begin, owned);
+
+  // The source still writes its own page in place, unseen by the copy.
+  const Point* src_page = src.PageSpan(2).begin;
+  src.Append(2, Point{6, 6, 71});
+  EXPECT_EQ(src.PageSpan(2).begin, src_page);
+  EXPECT_EQ(copy.PageSize(2), 3u);
+}
+
+// Shared storage outlives the store it came from.
+TEST(PageStoreTest, CopyOutlivesSource) {
+  auto src = std::make_unique<PageStore>();
+  src->BulkLoad(MakePoints(6), {0, 3, 6});
+  src->Append(1, Point{5, 5, 50});
+  PageStore copy = *src;
+  src.reset();
+  EXPECT_EQ(copy.PageSpan(0).begin->id, 0);
+  EXPECT_EQ((copy.PageSpan(1).end - 1)->id, 50);
+  EXPECT_EQ(copy.num_points(), 7u);
 }
 
 TEST(LeafDirTest, AppendLinksInOrder) {

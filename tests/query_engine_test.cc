@@ -238,11 +238,11 @@ TEST(QueryEngineTest, SanitizesDivergentUpdateOps) {
 TEST(QueryEngineTest, StaticIndexFallsBackToRebuild) {
   const TestScenario s = MakeScenario(Region::kCaliNev, 2000, 60, 2e-3, 35);
   IndexFactory factory = [] {
-    return MakeIndex("str");  // STR R-tree: SupportsUpdates() == false
+    return MakeIndex("str");  // STR R-tree: no clone hook
   };
   ShardedVersionedIndex sharded(factory, s.data, s.workload, FastOpts());
   VersionedIndex& index = sharded.shard(0);
-  ASSERT_FALSE(index.Acquire()->index().SupportsUpdates());
+  ASSERT_EQ(index.Acquire()->index().CloneForUpdate(), nullptr);
 
   const Point fresh{0.31415, 0.92653, 9000004};
   index.ApplyBatch({UpdateOp::Insert(fresh)});

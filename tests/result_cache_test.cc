@@ -328,10 +328,8 @@ TEST(ResultCacheTest, GapLongerThanPublishHistoryInvalidates) {
 }
 
 TEST(ResultCacheTest, OverwrittenHistoryInvalidatesPinnedProbe) {
-  // The pinned set parks a snapshot across every publish below; a short
-  // copy-on-stall deadline keeps each publish from waiting 250 ms on it.
+  // The pinned set parks a snapshot across every publish below.
   ServeOptions opts = CachedOpts(1, 4 << 20);
-  opts.writer_stall_ms = 1;
   OneShardFixture f(opts);
   const std::vector<int64_t> v0_ids = SortedIds(f.loop->Range(f.q).hits);
   ShardedVersionedIndex::SnapshotSet old_set;

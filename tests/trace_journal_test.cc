@@ -78,7 +78,6 @@ TEST(TraceJournalTest, ZeroCapacityIsCountingNoOp) {
 TEST(TraceJournalTest, KindNamesAreStableSnakeCase) {
   EXPECT_STREQ(KindName(TraceEventKind::kSnapshotSwap), "snapshot_swap");
   EXPECT_STREQ(KindName(TraceEventKind::kDriftRebuild), "drift_rebuild");
-  EXPECT_STREQ(KindName(TraceEventKind::kStallCopy), "stall_copy");
   EXPECT_STREQ(KindName(TraceEventKind::kMigrationPlan), "migration_plan");
   EXPECT_STREQ(KindName(TraceEventKind::kMigrationCapture),
                "migration_capture");

@@ -72,6 +72,21 @@ struct Server {
   }
 };
 
+// The server counts a response once SendAll returns, which can be after
+// the client has already decoded it and resolved its future. Waits (up to
+// 5 s) for the count to reach `want`, then returns it: a shortfall or an
+// overshoot still shows in the caller's comparison.
+int64_t SettledResponses(const WireServer& server, int64_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  int64_t got = server.stats().responses;
+  while (got < want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    got = server.stats().responses;
+  }
+  return got;
+}
+
 // Raw-socket helper: reads until one complete response frame decodes (or
 // the peer closes, returning false).
 bool ReadOneResponse(int fd, FrameDecoder* decoder, WireResponse* resp) {
@@ -177,8 +192,8 @@ TEST(WireServerTest, PipelinedMultiConnectionUnderRepartition) {
   stop_repart.store(true);
   repart.join();
   EXPECT_GE(s.server.stats().connections_opened, kClients);
-  EXPECT_EQ(s.server.stats().responses,
-            static_cast<int64_t>(kClients * kPerClient));
+  const auto want = static_cast<int64_t>(kClients * kPerClient);
+  EXPECT_EQ(SettledResponses(s.server, want), want);
 }
 
 TEST(WireServerTest, TruncatedPrefixDisconnectIsClean) {
@@ -312,7 +327,8 @@ TEST(WireServerTest, BackpressurePausesReaderWithoutDroppingWork) {
   }
   // Every query answered AND the reader actually paused along the way.
   EXPECT_GE(s.server.stats().backpressure_pauses, 1);
-  EXPECT_EQ(s.server.stats().responses, static_cast<int64_t>(kQueries));
+  const auto want = static_cast<int64_t>(kQueries);
+  EXPECT_EQ(SettledResponses(s.server, want), want);
 }
 
 TEST(WireServerTest, QueuedBytesCapAlsoPausesReader) {

@@ -81,7 +81,6 @@ TOTALS_REQUIRED = {
     "moved_points": int,
     "last_moved_shards": int,
     "last_carried_shards": int,
-    "stall_copies": int,
     "epoch": int,
 }
 

@@ -89,7 +89,6 @@ def scenario_doc():
             "moved_points": 0,
             "last_moved_shards": 0,
             "last_carried_shards": 0,
-            "stall_copies": 0,
             "epoch": 1,
         },
         "metrics": _metrics(),

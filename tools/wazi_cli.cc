@@ -38,7 +38,7 @@
 // `--stats-json <path>` writes the run summary, the full serve metrics
 // registry and a trace-journal tail as one JSON document;
 // `--trace-dump N` prints the journal's last N serve events (snapshot
-// swaps, migration phases, stalls) to stderr after the run; and
+// swaps, migration phases) to stderr after the run; and
 // `--trace-sample N` samples every Nth query into a full
 // submit→admit→execute→resolve span (see docs/OBSERVABILITY.md).
 //
@@ -535,11 +535,12 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
               static_cast<long long>(mig.total_moved_points),
               static_cast<long long>(mig.last_moved_shards),
               static_cast<long long>(mig.last_carried_shards));
-  if (mig.stall_copies > 0) {
-    std::printf("writer stalls:  %lld copy-on-stall fallback(s) "
-                "(parked readers; see writer_stall_ms)\n",
-                static_cast<long long>(mig.stall_copies));
-  }
+  const obs::MetricsSnapshot reg = loop.metrics().Snapshot();
+  std::printf("writers:        %lld retired snapshot(s) in epoch limbo, "
+              "%lld update op(s) dropped\n",
+              static_cast<long long>(reg.GaugeValue("serve_epoch_limbo")),
+              static_cast<long long>(
+                  reg.CounterValue("serve_writer_ops_dropped_total")));
   if (cache_mb > 0) {
     const serve::ResultCacheStats cs = loop.cache_stats();
     std::printf(
