@@ -6,48 +6,49 @@
 namespace wazi::net {
 namespace {
 
-// Little-endian primitives, byte-assembled so the format is identical on
-// any host endianness.
-void PutU16(uint16_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+// Little-endian primitives. On a little-endian host a word is its own
+// wire image and is copied whole; elsewhere it is byte-assembled, so the
+// format is identical on any host endianness.
+template <typename T>
+void StoreLE(T v, char* dst) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, &v, sizeof(T));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      dst[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
   }
 }
 
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+template <typename T>
+void PutLE(T v, std::string* out) {
+  char bytes[sizeof(T)];
+  StoreLE(v, bytes);
+  out->append(bytes, sizeof(T));
 }
 
-void PutI64(int64_t v, std::string* out) {
-  PutU64(static_cast<uint64_t>(v), out);
-}
+void PutU16(uint16_t v, std::string* out) { PutLE(v, out); }
+void PutU32(uint32_t v, std::string* out) { PutLE(v, out); }
+void PutU64(uint64_t v, std::string* out) { PutLE(v, out); }
 
 void PutF64(double v, std::string* out) {
   PutU64(std::bit_cast<uint64_t>(v), out);
 }
 
-uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+template <typename T>
+T LoadLE(const uint8_t* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (size_t i = sizeof(T); i-- > 0;) v = static_cast<T>((v << 8) | p[i]);
+  }
   return v;
 }
+
+uint16_t GetU16(const uint8_t* p) { return LoadLE<uint16_t>(p); }
+uint32_t GetU32(const uint8_t* p) { return LoadLE<uint32_t>(p); }
+uint64_t GetU64(const uint8_t* p) { return LoadLE<uint64_t>(p); }
 
 int64_t GetI64(const uint8_t* p) { return static_cast<int64_t>(GetU64(p)); }
 
@@ -68,23 +69,27 @@ size_t BeginFrame(MsgType type, uint64_t corr_id, std::string* out) {
 void CloseFrame(size_t len_at, std::string* out) {
   const uint32_t len =
       static_cast<uint32_t>(out->size() - len_at - kLenPrefixBytes);
-  (*out)[len_at] = static_cast<char>(len & 0xff);
-  (*out)[len_at + 1] = static_cast<char>((len >> 8) & 0xff);
-  (*out)[len_at + 2] = static_cast<char>((len >> 16) & 0xff);
-  (*out)[len_at + 3] = static_cast<char>((len >> 24) & 0xff);
+  StoreLE(len, out->data() + len_at);
+}
+
+constexpr size_t kPointBytes = 24;
+
+// A point's wire image: x, y, id as three little-endian 8-byte words.
+void StorePoint(const Point& p, char* dst) {
+  StoreLE(std::bit_cast<uint64_t>(p.x), dst);
+  StoreLE(std::bit_cast<uint64_t>(p.y), dst + 8);
+  StoreLE(static_cast<uint64_t>(p.id), dst + 16);
 }
 
 void PutPoint(const Point& p, std::string* out) {
-  PutF64(p.x, out);
-  PutF64(p.y, out);
-  PutI64(p.id, out);
+  char bytes[kPointBytes];
+  StorePoint(p, bytes);
+  out->append(bytes, kPointBytes);
 }
 
 Point GetPoint(const uint8_t* p) {
   return Point{GetF64(p), GetF64(p + 8), GetI64(p + 16)};
 }
-
-constexpr size_t kPointBytes = 24;
 
 }  // namespace
 
@@ -138,10 +143,20 @@ void EncodeRemove(uint64_t corr_id, const Point& p, std::string* out) {
 
 void EncodeHitsResult(MsgType type, uint64_t corr_id,
                       const serve::QueryResult& result, std::string* out) {
+  const size_t n = result.hits.size();
+  out->reserve(out->size() + kLenPrefixBytes + kFrameHeaderBytes + 12 +
+               n * kPointBytes);
   const size_t at = BeginFrame(type, corr_id, out);
   PutU64(result.epoch, out);
-  PutU32(static_cast<uint32_t>(result.hits.size()), out);
-  for (const Point& p : result.hits) PutPoint(p, out);
+  PutU32(static_cast<uint32_t>(n), out);
+  // Size the point block once and fill it in place.
+  const size_t points_at = out->size();
+  out->resize(points_at + n * kPointBytes);
+  char* dst = out->data() + points_at;
+  for (const Point& p : result.hits) {
+    StorePoint(p, dst);
+    dst += kPointBytes;
+  }
   CloseFrame(at, out);
 }
 
@@ -215,9 +230,11 @@ bool DecodeResponse(const Frame& frame, WireResponse* resp) {
       if (frame.payload_len != 12 + static_cast<size_t>(n) * kPointBytes) {
         return false;
       }
-      resp->result.hits.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        resp->result.hits.push_back(GetPoint(p + 12 + i * kPointBytes));
+      resp->result.hits.resize(n);
+      const uint8_t* src = p + 12;
+      for (Point& hit : resp->result.hits) {
+        hit = GetPoint(src);
+        src += kPointBytes;
       }
       return true;
     }

@@ -21,6 +21,8 @@
 //                                          AcquireAll() ONCE
 //                                            ▼
 //                                          QueryEngine::ExecuteBatchOn()
+//                                            │  block 0 on this thread,
+//                                            │  the rest on the pool
 //                                            ▼
 //                                          fulfil the clients' futures
 //
@@ -31,6 +33,9 @@
 // an admitted batch). Requests are grouped by query type before execution
 // so each worker block runs a homogeneous instruction stream; results are
 // scattered back to the submission order through the clients' futures.
+// The dispatcher executes the batch's first block itself, so at the
+// engine's num_threads = 1 a batch never leaves the dispatcher thread: no
+// pool hand-off, no latch wake.
 //
 // Batches form by dispatching when idle: a query submitted to an idle
 // dispatcher runs at once as a batch of one, and the queries that arrive

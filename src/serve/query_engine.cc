@@ -18,7 +18,10 @@ struct alignas(64) PaddedStats {
 
 QueryEngine::QueryEngine(const ShardedVersionedIndex* index, int num_threads,
                          ResultCache* cache, obs::MetricsRegistry* registry)
-    : index_(index), cache_(cache), pool_(num_threads) {
+    : index_(index),
+      cache_(cache),
+      num_threads_(std::max(1, num_threads)),
+      pool_(num_threads_ - 1) {
   if (registry == nullptr) {
     own_registry_ = std::make_unique<obs::MetricsRegistry>();
     registry = own_registry_.get();
@@ -59,43 +62,47 @@ void QueryEngine::RunBatch(
   results->clear();
   results->resize(n);
   if (n == 0) return;
-  const size_t workers =
-      std::min(n, static_cast<size_t>(pool_.num_threads()));
+  const size_t workers = std::min(n, static_cast<size_t>(num_threads_));
   const size_t block = (n + workers - 1) / workers;
   const size_t blocks = (n + block - 1) / block;
   // Per-block counters local to this batch: concurrent ExecuteBatch calls
   // from different client threads never share a counter slot.
-  std::vector<PaddedStats> block_stats(workers);
-  // Per-batch completion latch, NOT ThreadPool::Wait: Wait is a
-  // pool-global idle barrier, and the pool is shared between direct
-  // ExecuteBatch callers and the admission dispatcher — waiting for
-  // global idle would extend every batch's latency by every OTHER
-  // in-flight batch under sustained traffic.
-  std::latch done(static_cast<ptrdiff_t>(blocks));
-  for (size_t w = 0; w < workers; ++w) {
-    const size_t begin = w * block;
+  std::vector<PaddedStats> block_stats(blocks);
+  auto run_block = [this, &requests, results, &block_stats, shared_snaps,
+                    n, block](size_t b) {
+    const size_t begin = b * block;
     const size_t end = std::min(n, begin + block);
-    if (begin >= end) break;
-    pool_.Submit([this, &requests, results, &block_stats, shared_snaps,
-                  &done, begin, end, w] {
-      QueryStats* stats = &block_stats[w].stats;
-      // One acquire per shard per block (not per query) — or zero when
-      // the caller pinned a set for the whole batch (the admission path):
-      // the block runs on a consistent per-shard snapshot set, and the
-      // atomic refcount traffic on the publication cells stays off the
-      // per-query path.
-      ShardedVersionedIndex::SnapshotSet local_snaps;
-      const ShardedVersionedIndex::SnapshotSet* snaps = shared_snaps;
-      if (snaps == nullptr) {
-        index_->AcquireAll(&local_snaps);
-        snaps = &local_snaps;
-      }
-      for (size_t i = begin; i < end; ++i) {
-        (*results)[i] = ExecuteOn(requests[i], stats, snaps);
-      }
+    QueryStats* stats = &block_stats[b].stats;
+    // One acquire per shard per block (not per query) — or zero when the
+    // caller pinned a set for the whole batch (the admission path): the
+    // block runs on a consistent per-shard snapshot set, and the atomic
+    // refcount traffic on the publication cells stays off the per-query
+    // path.
+    ShardedVersionedIndex::SnapshotSet local_snaps;
+    const ShardedVersionedIndex::SnapshotSet* snaps = shared_snaps;
+    if (snaps == nullptr) {
+      index_->AcquireAll(&local_snaps);
+      snaps = &local_snaps;
+    }
+    for (size_t i = begin; i < end; ++i) {
+      (*results)[i] = ExecuteOn(requests[i], stats, snaps);
+    }
+  };
+  // Blocks 1..blocks-1 go to the pool; the caller runs block 0 itself, so
+  // a one-block batch (every batch at num_threads = 1) never leaves the
+  // calling thread. The per-batch latch counts only the pool's blocks,
+  // NOT ThreadPool::Wait: Wait is a pool-global idle barrier, and the pool
+  // is shared between direct ExecuteBatch callers and the admission
+  // dispatcher — waiting for global idle would extend every batch's
+  // latency by every OTHER in-flight batch under sustained traffic.
+  std::latch done(static_cast<ptrdiff_t>(blocks - 1));
+  for (size_t b = 1; b < blocks; ++b) {
+    pool_.Submit([&run_block, &done, b] {
+      run_block(b);
       done.count_down();
     });
   }
+  run_block(0);
   done.wait();
   MutexLock lock(&stats_mu_);
   for (const PaddedStats& ps : block_stats) batch_stats_.Add(ps.stats);

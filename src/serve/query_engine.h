@@ -1,8 +1,10 @@
-// Multi-threaded query execution over a ShardedVersionedIndex: batches of
-// range / point / kNN requests fan out across a ThreadPool, each worker
-// resolving its queries through the shard router (single-shard point
-// lookups, per-shard sub-rectangle ranges, cross-shard kNN merges), with
-// work counters accumulated into per-thread (cache-line padded) QueryStats.
+// Multi-threaded query execution over a ShardedVersionedIndex: a batch of
+// range / point / kNN requests splits into up to num_threads blocks; the
+// calling thread runs the first and a ThreadPool of num_threads - 1
+// workers the rest. Each block resolves its queries through the shard
+// router (single-shard point lookups, per-shard sub-rectangle ranges,
+// cross-shard kNN merges), with work counters accumulated into per-block
+// (cache-line padded) QueryStats.
 
 #ifndef WAZI_SERVE_QUERY_ENGINE_H_
 #define WAZI_SERVE_QUERY_ENGINE_H_
@@ -66,25 +68,27 @@ struct QueryResult {
 
 class QueryEngine {
  public:
-  // `index` must outlive the engine. `num_threads` workers execute
-  // batches. `cache`, when non-null, memoizes range results (probed and
-  // refreshed on every path through the engine; see
-  // serve/result_cache.h for the stamp-validation protocol). `registry`,
-  // when given, hosts the per-type query counters
+  // `index` must outlive the engine. A batch executes on `num_threads`
+  // threads (clamped to >= 1): the caller plus num_threads - 1 pool
+  // workers, so an engine at 1 starts no thread at all. `cache`, when
+  // non-null, memoizes range results (probed and refreshed on every path
+  // through the engine; see serve/result_cache.h for the stamp-validation
+  // protocol). `registry`, when given, hosts the per-type query counters
   // (serve_{range,point,knn}_queries_total); a standalone engine owns a
   // private registry so the counting code stays branch-free.
   QueryEngine(const ShardedVersionedIndex* index, int num_threads,
               ResultCache* cache = nullptr,
               obs::MetricsRegistry* registry = nullptr);
 
-  // Executes requests[i] into (*results)[i] across the worker pool; blocks
-  // until the whole batch is done. Each worker pins the topology and
-  // acquires every shard's snapshot once per block (AcquireAll), so one
-  // batch may straddle snapshot swaps — or a whole live repartition —
-  // across blocks (each result records the epoch and version mass it ran
-  // on) but never within a block. Safe to call from multiple threads;
-  // concurrent batches share the pool's workers but each returns as soon
-  // as ITS OWN blocks finish (per-batch latch, not pool-wide idle).
+  // Executes requests[i] into (*results)[i]: the caller runs the first
+  // block and the pool the others; returns when the whole batch is done.
+  // Each block pins the topology and acquires every shard's snapshot once
+  // (AcquireAll), so one batch may straddle snapshot swaps — or a whole
+  // live repartition — across blocks (each result records the epoch and
+  // version mass it ran on) but never within a block. Safe to call from
+  // multiple threads; concurrent batches share the pool's workers but
+  // each returns as soon as ITS OWN blocks finish (per-batch latch, not
+  // pool-wide idle), and no caller ever waits on another caller's block.
   void ExecuteBatch(const std::vector<QueryRequest>& requests,
                     std::vector<QueryResult>* results);
 
@@ -120,7 +124,7 @@ class QueryEngine {
   QueryStats aggregated_stats() const EXCLUDES(stats_mu_);
   void ResetStats() EXCLUDES(stats_mu_);
 
-  int num_threads() const { return pool_.num_threads(); }
+  int num_threads() const { return num_threads_; }
 
  private:
   QueryResult ExecuteOn(const QueryRequest& request, QueryStats* stats,
@@ -129,9 +133,9 @@ class QueryEngine {
   // tail_before) to the registry mirrors.
   void MirrorKernelShape(const QueryStats& st, int64_t batches_before,
                          int64_t tail_before) const;
-  // Shared batch driver: fans the requests out across the pool; workers
-  // run on `shared_snaps` when given, else each acquires its own set per
-  // block.
+  // Shared batch driver: runs block 0 on the caller and hands the rest to
+  // the pool; blocks run on `shared_snaps` when given, else each acquires
+  // its own set.
   void RunBatch(const std::vector<QueryRequest>& requests,
                 std::vector<QueryResult>* results,
                 const ShardedVersionedIndex::SnapshotSet* shared_snaps)
@@ -147,6 +151,9 @@ class QueryEngine {
   // into the registry per executed query.
   obs::Counter* simd_batches_ = nullptr;
   obs::Counter* scalar_tail_ = nullptr;
+  // Threads one batch executes on: the caller plus the pool's
+  // num_threads_ - 1 workers.
+  const int num_threads_;
   ThreadPool pool_;
   // Batch counters are accumulated in per-block (cache-line padded) locals
   // during execution and folded in here once the batch completes, so

@@ -6,7 +6,7 @@
 namespace wazi::serve {
 
 ThreadPool::ThreadPool(int num_threads) {
-  const int n = std::max(1, num_threads);
+  const int n = std::max(0, num_threads);
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -23,6 +23,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
+  if (workers_.empty()) {
+    task();
+    return;
+  }
   {
     MutexLock lock(&mu_);
     tasks_.push_back(std::move(task));

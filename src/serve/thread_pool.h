@@ -1,6 +1,9 @@
 // Fixed-size worker pool used by the query engine. Deliberately minimal:
 // a mutex-protected FIFO plus a drain barrier (`Wait`), which is all batch
-// query execution needs. Tasks must not throw.
+// query execution needs. The engine runs one block of every batch on the
+// calling thread, so its pool holds one worker fewer than the threads a
+// batch runs on — none at all for single-threaded serving. Tasks must not
+// throw.
 
 #ifndef WAZI_SERVE_THREAD_POOL_H_
 #define WAZI_SERVE_THREAD_POOL_H_
@@ -17,7 +20,8 @@ namespace wazi::serve {
 
 class ThreadPool {
  public:
-  // Spawns `num_threads` workers (clamped to >= 1).
+  // Spawns `num_threads` workers (clamped to >= 0). A pool with no
+  // worker runs each submitted task on the submitting thread.
   explicit ThreadPool(int num_threads);
   // Finishes every queued task, then joins the workers.
   ~ThreadPool();

@@ -11,6 +11,7 @@
 #include <future>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -188,11 +189,15 @@ TEST(AdmissionTest, BatchIsEpochPinnedAcrossALiveRepartition) {
   EXPECT_GT(loop.repartitions(), 0);
 }
 
-TEST(AdmissionTest, StatsSnapshotsAreMutuallyConsistent) {
+// At num_threads = 1 the dispatcher executes each batch itself; at 2 it
+// runs one block and a pool worker the other. The counters keep the same
+// invariants either way.
+void CheckStatsConsistency(int num_threads) {
+  SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
   TestScenario s = MakeScenario(Region::kCaliNev, 2000, 40, 2e-3, 805);
   ServeOptions opts;
   opts.num_shards = 2;
-  opts.num_threads = 2;
+  opts.num_threads = num_threads;
   opts.auto_rebuild = false;
   opts.admission.batch_limit = 8;
   opts.admission.window_us = 100;
@@ -243,6 +248,11 @@ TEST(AdmissionTest, StatsSnapshotsAreMutuallyConsistent) {
   EXPECT_EQ(after.admitted, 1201);
   EXPECT_EQ(after.dispatched, 1201);
   EXPECT_EQ(after.batches, st.batches + 1);
+}
+
+TEST(AdmissionTest, StatsSnapshotsAreMutuallyConsistent) {
+  CheckStatsConsistency(1);
+  CheckStatsConsistency(2);
 }
 
 TEST(AdmissionTest, ConcurrentSubmittersAllResolveAndStopDrains) {

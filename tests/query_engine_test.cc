@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/wazi.h"
@@ -119,6 +120,92 @@ TEST(QueryEngineTest, MixedRequestTypes) {
   const KnnResult direct =
       KnnByRangeExpansion(snap->index(), s.data.points[11], 5, index.domain());
   EXPECT_EQ(SortedIds(results[3].hits), SortedIds(direct.neighbors));
+}
+
+// Every batch shape — fewer queries than threads, an uneven last block,
+// one query past a full block — returns exactly what per-query Execute
+// returns, whichever thread ran each block.
+TEST(QueryEngineTest, BatchesMatchPerQueryExecuteForEveryShape) {
+  const TestScenario s = MakeScenario(Region::kCaliNev, 5000, 65, 2e-3, 38);
+  ShardedVersionedIndex index(WaziFactory(), s.data, s.workload, FastOpts(),
+                              Shards(3));
+  for (const int threads : {1, 2, 4}) {
+    QueryEngine engine(&index, threads);
+    EXPECT_EQ(engine.num_threads(), threads);
+    for (const size_t size : {1, 2, 3, 7, 64, 65}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " size=" + std::to_string(size));
+      std::vector<QueryRequest> requests;
+      for (size_t i = 0; i < size; ++i) {
+        switch (i % 3) {
+          case 0:
+            requests.push_back(QueryRequest::Range(s.workload.queries[i]));
+            break;
+          case 1:
+            requests.push_back(QueryRequest::PointLookup(s.data.points[i]));
+            break;
+          default:
+            requests.push_back(QueryRequest::Knn(s.data.points[i], 4));
+            break;
+        }
+      }
+      std::vector<QueryResult> batch;
+      engine.ExecuteBatch(requests, &batch);
+      ShardedVersionedIndex::SnapshotSet snaps;
+      index.AcquireAll(&snaps);
+      std::vector<QueryResult> pinned;
+      engine.ExecuteBatchOn(requests, &pinned, snaps);
+      ASSERT_EQ(batch.size(), size);
+      ASSERT_EQ(pinned.size(), size);
+      for (size_t i = 0; i < size; ++i) {
+        const QueryResult one = engine.Execute(requests[i], nullptr);
+        for (const QueryResult* got : {&batch[i], &pinned[i]}) {
+          EXPECT_EQ(SortedIds(got->hits), SortedIds(one.hits)) << i;
+          EXPECT_EQ(got->found, one.found) << i;
+          EXPECT_EQ(got->snapshot_version, one.snapshot_version) << i;
+          EXPECT_EQ(got->epoch, one.epoch) << i;
+        }
+      }
+    }
+  }
+}
+
+// Many threads batch on one engine at once. Each caller runs its own first
+// block and waits only for the blocks it handed to the shared pool, so no
+// caller can wait on another and every batch completes correctly.
+TEST(QueryEngineTest, ConcurrentBatchCallersAllFinish) {
+  const TestScenario s = MakeScenario(Region::kCaliNev, 5000, 65, 2e-3, 39);
+  ShardedVersionedIndex index(WaziFactory(), s.data, s.workload, FastOpts(),
+                              Shards(2));
+  QueryEngine engine(&index, 4);
+  std::vector<QueryRequest> requests;
+  std::vector<std::vector<int64_t>> truth;
+  for (const Rect& q : s.workload.queries) {
+    requests.push_back(QueryRequest::Range(q));
+    truth.push_back(TruthIds(s.data, q));
+  }
+  constexpr int kCallers = 8;
+  constexpr int kRounds = 20;
+  std::vector<int> wrong(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      std::vector<QueryResult> results;
+      for (int round = 0; round < kRounds; ++round) {
+        // Vary the batch size so callers split into different block counts.
+        const size_t size = 1 + (static_cast<size_t>(c * kRounds + round) %
+                                 requests.size());
+        const std::vector<QueryRequest> batch(requests.begin(),
+                                              requests.begin() + size);
+        engine.ExecuteBatch(batch, &results);
+        for (size_t i = 0; i < size; ++i) {
+          if (SortedIds(results[i].hits) != truth[i]) ++wrong[c];
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) EXPECT_EQ(wrong[c], 0) << "caller " << c;
 }
 
 TEST(QueryEngineTest, ApplyBatchPublishesNewVersionAndPreservesOldSnapshot) {

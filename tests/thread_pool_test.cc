@@ -1,5 +1,5 @@
 // ThreadPool: task execution, the Wait barrier, concurrent submission,
-// and destructor draining.
+// destructor draining, and the zero-worker pool.
 
 #include "serve/thread_pool.h"
 
@@ -73,13 +73,22 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, ClampsToAtLeastOneThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { ++count; });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
+TEST(ThreadPoolTest, ZeroThreadsStartsNoWorker) {
+  // The query engine's pool at num_threads = 1: the caller runs every
+  // batch, so the pool starts nothing and has nothing to wait for.
+  {
+    ThreadPool pool(0);
+    EXPECT_EQ(pool.num_threads(), 0);
+    pool.Wait();  // must not hang
+  }
+  ThreadPool clamped(-3);
+  EXPECT_EQ(clamped.num_threads(), 0);
+  // A task submitted anyway runs on the submitting thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  clamped.Submit([&ran_on] { ran_on = std::this_thread::get_id(); });
+  clamped.Wait();
+  EXPECT_EQ(ran_on, caller);
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -39,6 +42,127 @@ std::vector<DecodedFrame> DecodeAll(const std::string& bytes, size_t chunk,
     }
   }
   return out;
+}
+
+// Parses whitespace-separated hex byte pairs into a byte string.
+std::string Hex(const char* text) {
+  std::string out;
+  std::string digits;
+  for (const char* c = text; *c != '\0'; ++c) {
+    if (*c == ' ' || *c == '\n') continue;
+    digits.push_back(*c);
+    if (digits.size() == 2) {
+      out.push_back(static_cast<char>(std::stoi(digits, nullptr, 16)));
+      digits.clear();
+    }
+  }
+  return out;
+}
+
+bool SameBits(const Point& a, const Point& b) {
+  return std::bit_cast<uint64_t>(a.x) == std::bit_cast<uint64_t>(b.x) &&
+         std::bit_cast<uint64_t>(a.y) == std::bit_cast<uint64_t>(b.y) &&
+         a.id == b.id;
+}
+
+// The exact bytes of two response frames, written out by hand from the
+// layout in wire_format.h. Round-trip tests alone would let an encoder and
+// decoder change the format together; this pins it.
+TEST(WireFormatTest, ResponseFramesMatchGoldenBytes) {
+  serve::QueryResult range;
+  range.epoch = 0x1122334455667788;
+  range.hits = {
+      Point{-0.0, 1.0, -2},
+      Point{std::bit_cast<double>(uint64_t{0x7ff8000000000123}),
+            std::numeric_limits<double>::denorm_min(), 0x0123456789abcdef},
+      Point{0.5, -1.5, std::numeric_limits<int64_t>::min()},
+  };
+  std::string bytes;
+  EncodeHitsResult(MsgType::kRangeResult, 0x0102030405060708, range, &bytes);
+  EXPECT_EQ(bytes, Hex("60 00 00 00"                 // len = 12 + 12 + 72
+                       "01 21 00 00"                 // version, type, flags
+                       "08 07 06 05 04 03 02 01"     // corr_id
+                       "88 77 66 55 44 33 22 11"     // epoch
+                       "03 00 00 00"                 // n
+                       "00 00 00 00 00 00 00 80"     // -0.0
+                       "00 00 00 00 00 00 f0 3f"     // 1.0
+                       "fe ff ff ff ff ff ff ff"     // -2
+                       "23 01 00 00 00 00 f8 7f"     // NaN, payload 0x123
+                       "01 00 00 00 00 00 00 00"     // smallest subnormal
+                       "ef cd ab 89 67 45 23 01"     // 0x0123456789abcdef
+                       "00 00 00 00 00 00 e0 3f"     // 0.5
+                       "00 00 00 00 00 00 f8 bf"     // -1.5
+                       "00 00 00 00 00 00 00 80"));  // INT64_MIN
+
+  serve::QueryResult point;
+  point.epoch = 0x0a0b0c0d0e0f1011;
+  point.found = true;
+  bytes.clear();
+  EncodePointResult(0xfffefdfcfbfaf9f8, point, &bytes);
+  EXPECT_EQ(bytes, Hex("15 00 00 00"                 // len = 12 + 9
+                       "01 22 00 00"                 // version, type, flags
+                       "f8 f9 fa fb fc fd fe ff"     // corr_id
+                       "11 10 0f 0e 0d 0c 0b 0a"     // epoch
+                       "01"));                       // found
+
+  // The decoder reads back every bit, NaN payload and signed zero included.
+  FrameDecoder decoder(1024);
+  bytes.clear();
+  EncodeHitsResult(MsgType::kRangeResult, 1, range, &bytes);
+  decoder.Feed(bytes.data(), bytes.size());
+  Frame f;
+  ASSERT_EQ(decoder.Next(&f), FrameDecoder::Status::kFrame);
+  WireResponse resp;
+  ASSERT_TRUE(DecodeResponse(f, &resp));
+  EXPECT_EQ(resp.result.epoch, range.epoch);
+  ASSERT_EQ(resp.result.hits.size(), range.hits.size());
+  for (size_t i = 0; i < range.hits.size(); ++i) {
+    EXPECT_TRUE(SameBits(resp.result.hits[i], range.hits[i])) << "hit " << i;
+  }
+}
+
+// A large result fed to the decoder in random-sized chunks decodes to the
+// same bits, with the frame boundary landing anywhere in a chunk.
+TEST(WireFormatTest, LargeHitsFrameSurvivesRandomChunking) {
+  std::mt19937_64 rng(23);
+  std::uniform_real_distribution<double> coord(-180.0, 180.0);
+  serve::QueryResult result;
+  result.epoch = 77;
+  result.hits.resize(10000);
+  for (size_t i = 0; i < result.hits.size(); ++i) {
+    result.hits[i] = Point{coord(rng), coord(rng),
+                           static_cast<int64_t>(rng())};
+  }
+  std::string bytes;
+  EncodeHitsResult(MsgType::kRangeResult, 5, result, &bytes);
+  EncodePointResult(6, result, &bytes);  // a second frame right behind
+  ASSERT_EQ(bytes.size(), 4 + 12 + 12 + 24 * result.hits.size() + 4 + 21);
+
+  FrameDecoder decoder(64u << 20);
+  std::uniform_int_distribution<size_t> chunk(1, 4096);
+  std::vector<WireResponse> got;
+  for (size_t at = 0; at < bytes.size();) {
+    const size_t n = std::min(chunk(rng), bytes.size() - at);
+    decoder.Feed(bytes.data() + at, n);
+    at += n;
+    Frame f;
+    while (decoder.Next(&f) == FrameDecoder::Status::kFrame) {
+      got.emplace_back();
+      ASSERT_TRUE(DecodeResponse(f, &got.back()));
+    }
+  }
+  EXPECT_EQ(decoder.pending_bytes(), 0u);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].type, MsgType::kRangeResult);
+  EXPECT_EQ(got[0].corr_id, 5u);
+  EXPECT_EQ(got[0].result.epoch, 77u);
+  ASSERT_EQ(got[0].result.hits.size(), result.hits.size());
+  for (size_t i = 0; i < result.hits.size(); ++i) {
+    ASSERT_TRUE(SameBits(got[0].result.hits[i], result.hits[i]))
+        << "hit " << i;
+  }
+  EXPECT_EQ(got[1].type, MsgType::kPointResult);
+  EXPECT_EQ(got[1].corr_id, 6u);
 }
 
 TEST(WireFormatTest, RequestsRoundTrip) {
