@@ -93,13 +93,17 @@ bool VersionedIndex::UnchangedWithin(const Rect& rect, uint64_t a,
   const uint64_t hi = std::max(a, b);
   if (lo == hi) return true;
   if (history_ == nullptr) return false;
-  if (hi - lo > kPublishHistoryDepth) return false;  // gap outgrew the ring
+  if (hi - lo > kPublishHistoryDepth) return false;  // more than it can hold
   MutexLock lock(&history_->mu);
+  const std::deque<PublishRecord>& records = history_->records;
+  // Every publish in (lo, hi] must still be held.
+  if (records.empty() || records.front().version > lo + 1 ||
+      records.back().version < hi) {
+    return false;
+  }
   for (uint64_t v = lo + 1; v <= hi; ++v) {
-    const PublishRecord& r = history_->ring[v % kPublishHistoryDepth];
-    // A slot holding another version means publish v was overwritten
-    // (the ring moved past it): the gap is no longer covered.
-    if (r.version != v || r.everything) return false;
+    const PublishRecord& r = records[v - records.front().version];
+    if (r.everything) return false;
     if (!rect.Overlaps(r.bounds)) continue;
     for (const Point& p : r.points) {
       if (rect.Contains(p)) return false;
@@ -115,7 +119,7 @@ void VersionedIndex::Publish(std::unique_ptr<SpatialIndex> next,
   if (history_ != nullptr) {
     // Recorded before the version becomes visible, so a reader that
     // observes v (or a snapshot at v) finds its record. The positions
-    // are gathered off the lock; the replaced record frees after it.
+    // are gathered off the lock.
     PublishRecord record;
     record.version = v;
     record.everything = ops == nullptr;
@@ -127,7 +131,12 @@ void VersionedIndex::Publish(std::unique_ptr<SpatialIndex> next,
       }
     }
     MutexLock lock(&history_->mu);
-    std::swap(history_->ring[v % kPublishHistoryDepth], record);
+    history_->ops += record.weight();
+    history_->records.push_back(std::move(record));
+    while (history_->ops > kPublishHistoryDepth) {
+      history_->ops -= history_->records.front().weight();
+      history_->records.pop_front();
+    }
   }
   std::shared_ptr<const std::vector<Point>> pts;
   if (opts_.track_points) {

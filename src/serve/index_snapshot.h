@@ -34,9 +34,10 @@
 #ifndef WAZI_SERVE_INDEX_SNAPSHOT_H_
 #define WAZI_SERVE_INDEX_SNAPSHOT_H_
 
-#include <array>
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -252,8 +253,11 @@ class VersionedIndex {
   // Query-domain rectangle (immutable after construction; safe anywhere).
   const Rect& domain() const { return domain_; }
 
-  // Publishes the history keeps (when publish_history is on).
-  static constexpr uint64_t kPublishHistoryDepth = 64;
+  // Ops the publish history keeps (when publish_history is on), counting
+  // a rebuild as one. Bounded by ops, not publishes, so the history spans
+  // the same stretch of writes (and memory) whether the writer publishes
+  // every op on its own or group-commits a stream.
+  static constexpr uint64_t kPublishHistoryDepth = 512;
 
   // True iff no publish with a version in (min(a, b), max(a, b)] can have
   // changed the result of a range query over `rect` (closed): the history
@@ -329,17 +333,20 @@ class VersionedIndex {
 
   // One publish as UnchangedWithin sees it.
   struct PublishRecord {
-    uint64_t version = 0;     // 0 = slot never written
+    uint64_t version = 0;
     bool everything = false;  // a build/rebuild: any rect may have changed
     Rect bounds;              // bounding box of `points` (early-out)
     std::vector<Point> points;  // every op's position
+    // Share of the history's op budget: a rebuild counts as one op.
+    uint64_t weight() const { return std::max<uint64_t>(1, points.size()); }
   };
-  // Ring of the last kPublishHistoryDepth publishes, slot = version %
-  // depth. Written by the writer before the version it records becomes
-  // visible, read by any thread.
+  // The latest publishes, consecutive versions oldest first, holding at
+  // most kPublishHistoryDepth ops in all. Written by the writer before
+  // the version it records becomes visible, read by any thread.
   struct PublishHistory {
     Mutex mu;
-    std::array<PublishRecord, kPublishHistoryDepth> ring GUARDED_BY(mu);
+    std::deque<PublishRecord> records GUARDED_BY(mu);
+    uint64_t ops GUARDED_BY(mu) = 0;  // sum of the records' weights
   };
   // Set at construction iff opts_.publish_history, never reseated.
   std::unique_ptr<PublishHistory> history_;

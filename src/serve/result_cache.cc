@@ -26,6 +26,14 @@ inline uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// The version a probe checks a touched shard at: the pinned snapshot's
+// when the caller holds a SnapshotSet, else the live published one.
+inline uint64_t ProbedVersion(int shard, const ShardTopology& topo,
+                              const ShardedVersionedIndex::SnapshotSet* snaps) {
+  return snaps != nullptr ? snaps->shard_version(shard)
+                          : topo.shard_version(shard);
+}
+
 }  // namespace
 
 ResultCache::Key ResultCache::KeyOf(const Rect& r) {
@@ -69,38 +77,53 @@ ResultCache::Segment& ResultCache::SegmentFor(const Key& key) {
   return *segments_[KeyHash{}(key) % segments_.size()];
 }
 
-ResultCache::Stamp ResultCache::StampValid(
-    Entry* e, const ShardTopology& topo,
+ResultCache::Stamp ResultCache::CheckStamp(
+    const Entry& e, const ShardTopology& topo,
     const ShardedVersionedIndex::SnapshotSet* snaps, uint64_t* mass) {
   // A different epoch means a different router: cells moved, so the
   // touched-shard argument (header) no longer covers the query.
-  if (e->epoch != topo.epoch) return Stamp::kStale;
+  if (e.epoch != topo.epoch) return Stamp::kStale;
   Stamp result = Stamp::kExact;
   uint64_t sum = 0;
-  for (auto& [shard, version] : e->shard_versions) {
+  for (const auto& [shard, version] : e.shard_versions) {
     if (shard < 0 || shard >= topo.num_shards()) {
       return Stamp::kStale;  // defensive; an epoch pins its shard count
     }
-    const uint64_t now = snaps != nullptr ? snaps->shard_version(shard)
-                                          : topo.shard_version(shard);
+    const uint64_t now = ProbedVersion(shard, topo, snaps);
     sum += now;
     // Versions are bumped on every publish, so version equality means the
     // shard still serves the exact snapshot the entry was computed on.
-    if (now == version) continue;
-    // Otherwise the result still holds iff no op published between the
-    // two versions (either order) lies inside the rect.
-    if (!topo.shards[static_cast<size_t>(shard)]->UnchangedWithin(
-            e->rect, version, now)) {
-      return Stamp::kStale;  // the caller erases the entry
-    }
-    // Restamp forward only (to the version just checked): a probe pinned
-    // to older snapshots proves the entry for its own context without
-    // moving the stamp back.
-    version = std::max(version, now);
-    result = Stamp::kRevalidated;
+    if (now != version) result = Stamp::kMoved;
   }
   *mass = sum;
   return result;
+}
+
+bool ResultCache::Revalidate(const Rect& rect, ShardVersions* versions,
+                             const ShardTopology& topo,
+                             const ShardedVersionedIndex::SnapshotSet* snaps,
+                             uint64_t* mass) {
+  uint64_t sum = 0;
+  for (auto& [shard, version] : *versions) {
+    const uint64_t now = ProbedVersion(shard, topo, snaps);
+    sum += now;
+    // The result still holds iff no op published between the two
+    // versions (either order) lies inside the rect.
+    if (!topo.shards[static_cast<size_t>(shard)]->UnchangedWithin(
+            rect, version, now)) {
+      return false;
+    }
+    version = now;
+  }
+  *mass = sum;
+  return true;
+}
+
+void ResultCache::EraseLocked(Segment& seg, Segment::Map::iterator it) {
+  seg.bytes -= it->second->bytes;
+  bytes_gauge_->Add(-static_cast<int64_t>(it->second->bytes));
+  seg.lru.erase(it->second);
+  seg.map.erase(it);
 }
 
 bool ResultCache::Lookup(const Rect& query, const ShardTopology& topo,
@@ -110,6 +133,7 @@ bool ResultCache::Lookup(const Rect& query, const ShardTopology& topo,
   const Key key = KeyOf(query);
   Segment& seg = SegmentFor(key);
   std::shared_ptr<const std::vector<Point>> payload;
+  ShardVersions stamp;  // copied only when a touched shard moved
   uint64_t mass = 0;
   {
     MutexLock lock(&seg.mu);
@@ -119,27 +143,52 @@ bool ResultCache::Lookup(const Rect& query, const ShardTopology& topo,
       return false;
     }
     Entry& entry = *it->second;
-    const Stamp stamp = StampValid(&entry, topo, snaps, &mass);
-    if (stamp == Stamp::kStale) {
+    const Stamp check = CheckStamp(entry, topo, snaps, &mass);
+    if (check == Stamp::kStale) {
       // Stale: the world moved under it. Erase so the slot is not probed
       // (and re-invalidated) forever, and let the caller re-execute.
-      seg.bytes -= entry.bytes;
-      bytes_gauge_->Add(-static_cast<int64_t>(entry.bytes));
-      seg.lru.erase(it->second);
-      seg.map.erase(it);
+      EraseLocked(seg, it);
       invalidations_->Add(1);
       return false;
     }
-    if (stamp == Stamp::kRevalidated) revalidations_->Add(1);
-    // Touch: move to the front of the LRU list (splice keeps iterators in
-    // seg.map valid), grab the payload, and get OFF the segment mutex —
-    // every probe of a hot rect lands on this one segment, so the
-    // O(result) copy below must not serialize them.
-    seg.lru.splice(seg.lru.begin(), seg.lru, it->second);
     payload = entry.hits;
+    if (check == Stamp::kExact) {
+      // Touch: move to the front of the LRU list (splice keeps iterators
+      // in seg.map valid).
+      seg.lru.splice(seg.lru.begin(), seg.lru, it->second);
+    } else {
+      stamp = entry.shard_versions;
+    }
+  }
+  if (!stamp.empty()) {
+    // The history scan runs OFF the segment mutex: every probe of a hot
+    // rect lands on this one segment, so a scan under it would serialize
+    // them. Holding `payload` pins its address, so a slot whose payload
+    // pointer still matches holds the very entry copied above.
+    const bool valid = Revalidate(query, &stamp, topo, snaps, &mass);
+    MutexLock lock(&seg.mu);
+    const auto it = seg.map.find(key);
+    const bool same = it != seg.map.end() && it->second->hits == payload;
+    if (!valid) {
+      if (same) EraseLocked(seg, it);
+      invalidations_->Add(1);
+      return false;
+    }
+    if (same) {
+      // Restamp forward only (to the versions just checked): a probe
+      // pinned to older snapshots, or racing a newer probe's restamp,
+      // proves the entry for its own context without moving it back.
+      ShardVersions& live = it->second->shard_versions;
+      for (size_t i = 0; i < live.size(); ++i) {
+        live[i].second = std::max(live[i].second, stamp[i].second);
+      }
+      seg.lru.splice(seg.lru.begin(), seg.lru, it->second);
+    }
+    revalidations_->Add(1);
   }
   // The shared_ptr keeps the payload alive even if the entry is evicted
-  // or refreshed concurrently; the vector it points to is immutable.
+  // or refreshed concurrently; the vector it points to is immutable, and
+  // the O(result) copy stays off the segment mutex.
   out->insert(out->end(), payload->begin(), payload->end());
   if (version_mass != nullptr) *version_mass = mass;
   hits_->Add(1);
@@ -156,7 +205,6 @@ void ResultCache::Insert(const Rect& query, const std::vector<Point>& hits,
 
   Entry entry;
   entry.key = KeyOf(query);
-  entry.rect = query;
   entry.hits = std::make_shared<const std::vector<Point>>(hits);
   entry.epoch = epoch;
   entry.shard_versions.reserve(parts.size());
@@ -170,13 +218,8 @@ void ResultCache::Insert(const Rect& query, const std::vector<Point>& hits,
   {
     MutexLock lock(&seg.mu);
     const auto it = seg.map.find(entry.key);
-    if (it != seg.map.end()) {
-      // Last-writer-wins refresh of an existing slot.
-      seg.bytes -= it->second->bytes;
-      bytes_gauge_->Add(-static_cast<int64_t>(it->second->bytes));
-      seg.lru.erase(it->second);
-      seg.map.erase(it);
-    }
+    // Last-writer-wins refresh of an existing slot.
+    if (it != seg.map.end()) EraseLocked(seg, it);
     while (seg.bytes + bytes > segment_capacity_ && !seg.lru.empty()) {
       seg.bytes -= seg.lru.back().bytes;
       bytes_gauge_->Add(-static_cast<int64_t>(seg.lru.back().bytes));

@@ -35,16 +35,18 @@
 // touched shard whose intervening ops all lie outside it serves the same
 // result at both versions. The check runs in both directions: a batch
 // pinned to snapshots OLDER than the stamp validates the publishes between
-// them just the same. A successful forward check restamps the entry to
-// the probed versions under the segment lock, so each publish record is
-// examined at most once per entry. Across topologies no such argument
-// holds (cells move), which is why the epoch is part of the stamp.
+// them just the same. The history check runs off the segment lock, on a
+// copy of the stamp; a successful forward check then restamps the entry
+// to the probed versions under the lock (if the slot still holds that
+// entry), so each publish record is examined about once per entry. Across
+// topologies no such argument holds (cells move), which is why the epoch
+// is part of the stamp.
 //
 // Structure: N independent cache shards (key-hashed) each holding an LRU
 // list + hash map under its own mutex, so concurrent clients probing
 // different keys rarely contend. Capacity is bytes of cached result
-// payload; eviction is per-cache-shard LRU. Thread-safe throughout. Lock
-// order: a segment mutex, then (inside the probe) a shard's history mutex.
+// payload; eviction is per-cache-shard LRU. Thread-safe throughout. A
+// probe never holds a segment mutex and a shard's history mutex at once.
 
 #ifndef WAZI_SERVE_RESULT_CACHE_H_
 #define WAZI_SERVE_RESULT_CACHE_H_
@@ -148,38 +150,50 @@ class ResultCache {
   struct KeyHash {
     size_t operator()(const Key& k) const;
   };
+  // (shard id, snapshot version) per touched shard.
+  using ShardVersions = std::vector<std::pair<int, uint64_t>>;
   struct Entry {
     Key key;
-    Rect rect;  // the query rectangle the history check tests ops against
     // shared_ptr so a hit can hand the payload out of the segment lock
     // and copy it into the caller's vector WITHOUT holding the mutex —
     // identical hot rects all land in one segment, so an under-lock copy
     // would serialize exactly the traffic the cache exists to absorb.
     std::shared_ptr<const std::vector<Point>> hits;
     uint64_t epoch = 0;
-    // (shard id, snapshot version) per touched shard; empty-rect queries
-    // touch no shard and stay valid for the whole epoch. Guarded by the
-    // owning segment's mutex (a forward revalidation restamps it).
-    std::vector<std::pair<int, uint64_t>> shard_versions;
+    // Empty-rect queries touch no shard and stay valid for the whole
+    // epoch. Guarded by the owning segment's mutex (a forward
+    // revalidation restamps it).
+    ShardVersions shard_versions;
     size_t bytes = 0;
   };
   struct Segment {
+    using Map = std::unordered_map<Key, std::list<Entry>::iterator, KeyHash>;
     Mutex mu;
     std::list<Entry> lru GUARDED_BY(mu);  // front = most recent
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map
-        GUARDED_BY(mu);
+    Map map GUARDED_BY(mu);
     size_t bytes GUARDED_BY(mu) = 0;
   };
 
   Segment& SegmentFor(const Key& key);
-  // Outcome of validating an entry's stamp against a probe's context.
-  enum class Stamp { kStale, kExact, kRevalidated };
-  // Validates `e` against `topo` (and `snaps`, see Lookup), restamping it
-  // forward on a revalidation; `*mass` receives the validated versions'
-  // sum. Caller holds the entry's segment mutex.
-  static Stamp StampValid(Entry* e, const ShardTopology& topo,
+  // Outcome of comparing an entry's stamp with a probe's context.
+  enum class Stamp { kStale, kExact, kMoved };
+  // Compares `e`'s stamp with `topo` (and `snaps`, see Lookup) without
+  // reading any history: kStale on another epoch, kMoved when a touched
+  // shard's version differs. `*mass` receives the probed versions' sum.
+  // Caller holds the entry's segment mutex.
+  static Stamp CheckStamp(const Entry& e, const ShardTopology& topo,
                           const ShardedVersionedIndex::SnapshotSet* snaps,
                           uint64_t* mass);
+  // Asks each touched shard's publish history whether `rect`'s result
+  // changed between the stamped and the probed version. On success
+  // `versions` holds the probed versions and `*mass` their sum. Takes no
+  // segment mutex.
+  static bool Revalidate(const Rect& rect, ShardVersions* versions,
+                         const ShardTopology& topo,
+                         const ShardedVersionedIndex::SnapshotSet* snaps,
+                         uint64_t* mass);
+  void EraseLocked(Segment& seg, Segment::Map::iterator it)
+      REQUIRES(seg.mu);
 
   ResultCacheOptions opts_;
   size_t segment_capacity_ = 0;

@@ -694,6 +694,8 @@ void ServeLoop::WriterLoop(std::shared_ptr<WriterGen> gen, int s) {
   ShardWriter& w = *gen->writers[static_cast<size_t>(s)];
   VersionedIndex& shard = *gen->topo->shards[static_cast<size_t>(s)];
   const auto poll = std::chrono::milliseconds(opts_.drift_poll_ms);
+  // Ops were already waiting at the top of the previous iteration.
+  bool was_waiting = false;
   for (;;) {
     std::vector<UpdateOp> batch;
     bool rebuild = false;
@@ -701,6 +703,13 @@ void ServeLoop::WriterLoop(std::shared_ptr<WriterGen> gen, int s) {
     bool migrating = false;
     {
       MutexLock lock(&w.queue_mu);
+      // Group commit only under a sustained stream: ops waiting at the top
+      // of two iterations in a row. A writer that slept before its last
+      // batch applies what is queued at once, so an isolated write (or a
+      // burst of two) is visible without sitting out the window.
+      const bool waiting = !w.queue.empty();
+      const bool streaming = waiting && was_waiting;
+      was_waiting = waiting;
       const auto wake_deadline = std::chrono::steady_clock::now() + poll;
       while (!(w.stop || (!w.gate && (w.rebuild_requested ||
                                       w.capture_requested ||
@@ -717,11 +726,11 @@ void ServeLoop::WriterLoop(std::shared_ptr<WriterGen> gen, int s) {
       // Stop barriers on the migration — but fall through rather than
       // risk a hang.)
       if (w.gate && !w.stop) continue;
-      if (!w.queue.empty() && w.queue.size() < opts_.writer_batch_limit &&
+      if (streaming && w.queue.size() < opts_.writer_batch_limit &&
           !w.stop && !w.rebuild_requested && !w.capture_requested &&
           opts_.writer_coalesce_ms > 0) {
-        // Group commit: linger briefly so a fast submit stream lands in one
-        // batch (one snapshot publish) instead of one publish per op.
+        // Group commit: linger briefly so the stream lands in one batch
+        // (one snapshot publish) instead of one publish per op.
         const auto linger_deadline =
             std::chrono::steady_clock::now() +
             std::chrono::milliseconds(opts_.writer_coalesce_ms);

@@ -196,7 +196,7 @@ struct ShardTopology {
   uint64_t version() const;
   // One shard's current published snapshot version: a single atomic load,
   // no snapshot acquisition. This is the cheap validity probe the result
-  // cache stamps entries against (ResultCache::StampValid).
+  // cache stamps entries against (ResultCache::CheckStamp).
   uint64_t shard_version(int s) const {
     return shards[static_cast<size_t>(s)]->version();
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
 
@@ -99,7 +100,7 @@ double SampleAspect(double aspect_max, Rng& rng) {
 Workload GenerateCheckinWorkload(Region region, const Rect& domain,
                                  const QueryGenOptions& opts) {
   Workload w;
-  w.name = "Q" + RegionName(region);
+  w.name = std::string("Q").append(RegionName(region));
   w.selectivity = opts.selectivity;
   w.queries.reserve(opts.num_queries);
   const VenueModel model = BuildVenueModel(region, domain, opts.seed);

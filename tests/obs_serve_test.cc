@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/wazi.h"
@@ -333,6 +335,80 @@ TEST(ObsServeTest, AdmissionDispatchesAreJournaledWithBatchSizes) {
   // With a journal far larger than the dispatch count, the journaled
   // batch sizes add up to the dispatched total exactly.
   EXPECT_EQ(journaled_total, stats.dispatched);
+}
+
+// Polls PointLookup until `p` is visible or `timeout` passes.
+bool VisibleWithin(ServeLoop& loop, const Point& p,
+                   std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  for (;;) {
+    if (loop.PointLookup(p)) return true;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// The writer's commit rule: an idle writer applies at once, so even a
+// group-commit window far longer than the deadline never delays an
+// isolated write or a burst of two.
+ServeOptions LongCoalesceOpts() {
+  ServeOptions opts;
+  opts.num_threads = 1;
+  opts.auto_rebuild = false;
+  opts.writer_coalesce_ms = 10000;
+  return opts;
+}
+
+TEST(ObsServeTest, IdleWriterPublishesSingleInsertAtOnce) {
+  TestScenario s = MakeScenario(Region::kJapan, 2000, 40, 2e-3, 407);
+  s.data = DedupeCoords(s.data);
+  ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(),
+                 LongCoalesceOpts());
+  const Point p{0.5, 0.5, 96000000};
+  loop.SubmitInsert(p);
+  EXPECT_TRUE(VisibleWithin(loop, p, std::chrono::seconds(2)));
+}
+
+TEST(ObsServeTest, IdleWriterPublishesBurstOfTwoAtOnce) {
+  TestScenario s = MakeScenario(Region::kJapan, 2000, 40, 2e-3, 408);
+  s.data = DedupeCoords(s.data);
+  ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(),
+                 LongCoalesceOpts());
+  const Point a{0.25, 0.5, 96000001};
+  const Point b{0.75, 0.5, 96000002};
+  loop.SubmitInsert(a);
+  loop.SubmitInsert(b);
+  EXPECT_TRUE(VisibleWithin(loop, a, std::chrono::seconds(2)));
+  EXPECT_TRUE(VisibleWithin(loop, b, std::chrono::seconds(2)));
+}
+
+// A sustained stream still group-commits: back-to-back submits from one
+// thread land in batches, not one publish per op.
+TEST(ObsServeTest, SubmitStreamGroupCommits) {
+  TestScenario s = MakeScenario(Region::kJapan, 2000, 40, 2e-3, 409);
+  s.data = DedupeCoords(s.data);
+  ServeOptions opts;
+  opts.num_threads = 1;
+  opts.auto_rebuild = false;
+  ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(), opts);
+  const Rect& b = s.data.bounds;
+  Rng rng(409);
+  std::vector<Point> points;
+  for (int i = 0; i < 5000; ++i) {
+    points.push_back(Point{b.min_x + rng.NextDouble() * (b.max_x - b.min_x),
+                           b.min_y + rng.NextDouble() * (b.max_y - b.min_y),
+                           97000000 + i});
+  }
+  const int64_t before = loop.metrics().Snapshot().CounterValue(
+      "serve_snapshot_publishes_total");
+  for (const Point& p : points) loop.SubmitInsert(p);
+  loop.Flush();
+  const int64_t publishes = loop.metrics().Snapshot().CounterValue(
+                                "serve_snapshot_publishes_total") -
+                            before;
+  EXPECT_GE(publishes, 1);
+  EXPECT_LE(publishes, 5000 / 32);
+  EXPECT_TRUE(loop.PointLookup(points.back()));
 }
 
 }  // namespace

@@ -327,6 +327,47 @@ TEST(ResultCacheTest, GapLongerThanPublishHistoryInvalidates) {
   EXPECT_EQ(f.loop->cache_stats().revalidations, 1);
 }
 
+// The op-count twin of the test above: the history holds
+// kPublishHistoryDepth ops however they are batched, so publishes of four
+// ops each stay covered for a quarter as many publishes.
+TEST(ResultCacheTest, PublishHistoryIsBoundedByOps) {
+  const Dataset data = MakeUniformDataset(4000, 79);
+  QueryGenOptions qopts;
+  qopts.num_queries = 16;
+  qopts.selectivity = 1e-3;
+  const Workload workload =
+      GenerateCheckinWorkload(Region::kCaliNev, data.bounds, qopts);
+  VersionedIndexOptions vopts;
+  vopts.publish_history = true;
+  VersionedIndex index(WaziFactory(), data, workload, FastOpts(), vopts);
+  const Rect q = Rect::Of(0.05, 0.05, 0.15, 0.15);
+
+  constexpr uint64_t kOpsPerPublish = 4;
+  int64_t id = 1400000;
+  const auto publish_outside = [&] {
+    std::vector<UpdateOp> batch;
+    for (uint64_t k = 0; k < kOpsPerPublish; ++k, ++id) {
+      batch.push_back(UpdateOp::Insert(
+          Point{0.9, 0.5 + 1e-4 * static_cast<double>(id - 1400000), id}));
+    }
+    index.ApplyBatch(batch);
+  };
+  const uint64_t v0 = index.version();
+  for (uint64_t i = 0;
+       i < VersionedIndex::kPublishHistoryDepth / kOpsPerPublish; ++i) {
+    publish_outside();
+  }
+  EXPECT_TRUE(index.UnchangedWithin(q, v0, index.version()));
+  publish_outside();
+  EXPECT_FALSE(index.UnchangedWithin(q, v0, index.version()));
+  EXPECT_TRUE(index.UnchangedWithin(q, v0 + 1, index.version()));
+  // An op inside the rect is seen across a covered gap.
+  const uint64_t v1 = index.version();
+  index.ApplyBatch({UpdateOp::Insert(Point{0.1, 0.1, id++})});
+  EXPECT_FALSE(index.UnchangedWithin(q, v1 - 8, index.version()));
+  EXPECT_TRUE(index.UnchangedWithin(q, v1 - 8, v1));
+}
+
 TEST(ResultCacheTest, OverwrittenHistoryInvalidatesPinnedProbe) {
   // The pinned set parks a snapshot across every publish below.
   ServeOptions opts = CachedOpts(1, 4 << 20);
