@@ -93,7 +93,11 @@ bool VersionedIndex::UnchangedWithin(const Rect& rect, uint64_t a,
   const uint64_t hi = std::max(a, b);
   if (lo == hi) return true;
   if (history_ == nullptr) return false;
-  if (hi - lo > kPublishHistoryDepth) return false;  // more than it can hold
+  // More publishes than the history can hold (it keeps at most
+  // max(depth, min publishes) records, each weighing one op or more).
+  if (hi - lo > std::max(kPublishHistoryDepth, kPublishHistoryMinPublishes)) {
+    return false;
+  }
   MutexLock lock(&history_->mu);
   const std::deque<PublishRecord>& records = history_->records;
   // Every publish in (lo, hi] must still be held.
@@ -133,7 +137,8 @@ void VersionedIndex::Publish(std::unique_ptr<SpatialIndex> next,
     MutexLock lock(&history_->mu);
     history_->ops += record.weight();
     history_->records.push_back(std::move(record));
-    while (history_->ops > kPublishHistoryDepth) {
+    while (history_->ops > kPublishHistoryDepth &&
+           history_->records.size() > kPublishHistoryMinPublishes) {
       history_->ops -= history_->records.front().weight();
       history_->records.pop_front();
     }

@@ -253,11 +253,14 @@ class VersionedIndex {
   // Query-domain rectangle (immutable after construction; safe anywhere).
   const Rect& domain() const { return domain_; }
 
-  // Ops the publish history keeps (when publish_history is on), counting
-  // a rebuild as one. Bounded by ops, not publishes, so the history spans
-  // the same stretch of writes (and memory) whether the writer publishes
-  // every op on its own or group-commits a stream.
+  // What the publish history keeps (when publish_history is on): the
+  // latest kPublishHistoryDepth ops (a rebuild counts as one) or the
+  // latest kPublishHistoryMinPublishes publishes, whichever reaches
+  // further back. The op bound covers an idle writer that publishes every
+  // op on its own; the publish floor covers a writer that group-commits a
+  // stream in batches of up to writer_batch_limit ops.
   static constexpr uint64_t kPublishHistoryDepth = 512;
+  static constexpr uint64_t kPublishHistoryMinPublishes = 64;
 
   // True iff no publish with a version in (min(a, b), max(a, b)] can have
   // changed the result of a range query over `rect` (closed): the history
@@ -340,9 +343,11 @@ class VersionedIndex {
     // Share of the history's op budget: a rebuild counts as one op.
     uint64_t weight() const { return std::max<uint64_t>(1, points.size()); }
   };
-  // The latest publishes, consecutive versions oldest first, holding at
-  // most kPublishHistoryDepth ops in all. Written by the writer before
-  // the version it records becomes visible, read by any thread.
+  // The latest publishes, consecutive versions oldest first: the oldest
+  // is evicted only while they hold more than kPublishHistoryDepth ops
+  // and more than kPublishHistoryMinPublishes publishes. Written by the
+  // writer before the version it records becomes visible, read by any
+  // thread.
   struct PublishHistory {
     Mutex mu;
     std::deque<PublishRecord> records GUARDED_BY(mu);

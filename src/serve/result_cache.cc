@@ -132,67 +132,78 @@ bool ResultCache::Lookup(const Rect& query, const ShardTopology& topo,
   if (!enabled()) return false;
   const Key key = KeyOf(query);
   Segment& seg = SegmentFor(key);
-  std::shared_ptr<const std::vector<Point>> payload;
-  ShardVersions stamp;  // copied only when a touched shard moved
-  uint64_t mass = 0;
-  {
-    MutexLock lock(&seg.mu);
-    const auto it = seg.map.find(key);
-    if (it == seg.map.end()) {
-      misses_->Add(1);
-      return false;
-    }
-    Entry& entry = *it->second;
-    const Stamp check = CheckStamp(entry, topo, snaps, &mass);
-    if (check == Stamp::kStale) {
-      // Stale: the world moved under it. Erase so the slot is not probed
-      // (and re-invalidated) forever, and let the caller re-execute.
-      EraseLocked(seg, it);
-      invalidations_->Add(1);
-      return false;
-    }
-    payload = entry.hits;
-    if (check == Stamp::kExact) {
-      // Touch: move to the front of the LRU list (splice keeps iterators
-      // in seg.map valid).
-      seg.lru.splice(seg.lru.begin(), seg.lru, it->second);
-    } else {
-      stamp = entry.shard_versions;
-    }
-  }
-  if (!stamp.empty()) {
-    // The history scan runs OFF the segment mutex: every probe of a hot
-    // rect lands on this one segment, so a scan under it would serialize
-    // them. Holding `payload` pins its address, so a slot whose payload
-    // pointer still matches holds the very entry copied above.
-    const bool valid = Revalidate(query, &stamp, topo, snaps, &mass);
-    MutexLock lock(&seg.mu);
-    const auto it = seg.map.find(key);
-    const bool same = it != seg.map.end() && it->second->hits == payload;
-    if (!valid) {
-      if (same) EraseLocked(seg, it);
-      invalidations_->Add(1);
-      return false;
-    }
-    if (same) {
-      // Restamp forward only (to the versions just checked): a probe
-      // pinned to older snapshots, or racing a newer probe's restamp,
-      // proves the entry for its own context without moving it back.
-      ShardVersions& live = it->second->shard_versions;
-      for (size_t i = 0; i < live.size(); ++i) {
-        live[i].second = std::max(live[i].second, stamp[i].second);
+  // At most two passes: a second only when the history disproved the
+  // copied stamp but another probe has meanwhile re-executed the query
+  // and refreshed the slot, whose fresh entry then usually hits.
+  for (bool retried = false;; retried = true) {
+    std::shared_ptr<const std::vector<Point>> payload;
+    ShardVersions stamp;  // copied only when a touched shard moved
+    uint64_t mass = 0;
+    {
+      MutexLock lock(&seg.mu);
+      const auto it = seg.map.find(key);
+      if (it == seg.map.end()) {
+        misses_->Add(1);
+        return false;
       }
-      seg.lru.splice(seg.lru.begin(), seg.lru, it->second);
+      Entry& entry = *it->second;
+      const Stamp check = CheckStamp(entry, topo, snaps, &mass);
+      if (check == Stamp::kStale) {
+        // Stale: the world moved under it. Erase so the slot is not
+        // probed (and re-invalidated) forever, and let the caller
+        // re-execute.
+        EraseLocked(seg, it);
+        invalidations_->Add(1);
+        return false;
+      }
+      payload = entry.hits;
+      if (check == Stamp::kExact) {
+        // Touch: move to the front of the LRU list (splice keeps
+        // iterators in seg.map valid).
+        seg.lru.splice(seg.lru.begin(), seg.lru, it->second);
+      } else {
+        stamp = entry.shard_versions;
+      }
     }
-    revalidations_->Add(1);
+    if (!stamp.empty()) {
+      // The history scan runs OFF the segment mutex: every probe of a
+      // hot rect lands on this one segment, so a scan under it would
+      // serialize them. Holding `payload` pins its address, so a slot
+      // whose payload pointer still matches holds the very entry copied
+      // above.
+      const bool valid = Revalidate(query, &stamp, topo, snaps, &mass);
+      MutexLock lock(&seg.mu);
+      const auto it = seg.map.find(key);
+      const bool same = it != seg.map.end() && it->second->hits == payload;
+      if (!valid) {
+        if (same) {
+          EraseLocked(seg, it);
+        } else if (it != seg.map.end() && !retried) {
+          continue;  // refreshed meanwhile: probe the fresh entry
+        }
+        invalidations_->Add(1);
+        return false;
+      }
+      if (same) {
+        // Restamp forward only (to the versions just checked): a probe
+        // pinned to older snapshots, or racing a newer probe's restamp,
+        // proves the entry for its own context without moving it back.
+        ShardVersions& live = it->second->shard_versions;
+        for (size_t i = 0; i < live.size(); ++i) {
+          live[i].second = std::max(live[i].second, stamp[i].second);
+        }
+        seg.lru.splice(seg.lru.begin(), seg.lru, it->second);
+      }
+      revalidations_->Add(1);
+    }
+    // The shared_ptr keeps the payload alive even if the entry is
+    // evicted or refreshed concurrently; the vector it points to is
+    // immutable, and the O(result) copy stays off the segment mutex.
+    out->insert(out->end(), payload->begin(), payload->end());
+    if (version_mass != nullptr) *version_mass = mass;
+    hits_->Add(1);
+    return true;
   }
-  // The shared_ptr keeps the payload alive even if the entry is evicted
-  // or refreshed concurrently; the vector it points to is immutable, and
-  // the O(result) copy stays off the segment mutex.
-  out->insert(out->end(), payload->begin(), payload->end());
-  if (version_mass != nullptr) *version_mass = mass;
-  hits_->Add(1);
-  return true;
 }
 
 void ResultCache::Insert(const Rect& query, const std::vector<Point>& hits,

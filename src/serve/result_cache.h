@@ -38,9 +38,11 @@
 // them just the same. The history check runs off the segment lock, on a
 // copy of the stamp; a successful forward check then restamps the entry
 // to the probed versions under the lock (if the slot still holds that
-// entry), so each publish record is examined about once per entry. Across
-// topologies no such argument holds (cells move), which is why the epoch
-// is part of the stamp.
+// entry), so later probes check only the publishes after it. Probes that
+// copied the stamp before that restamp each run their own check; one
+// whose check fails after another probe refreshed the slot probes the
+// fresh entry once. Across topologies no such argument holds (cells
+// move), which is why the epoch is part of the stamp.
 //
 // Structure: N independent cache shards (key-hashed) each holding an LRU
 // list + hash map under its own mutex, so concurrent clients probing

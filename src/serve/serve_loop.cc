@@ -694,6 +694,8 @@ void ServeLoop::WriterLoop(std::shared_ptr<WriterGen> gen, int s) {
   ShardWriter& w = *gen->writers[static_cast<size_t>(s)];
   VersionedIndex& shard = *gen->topo->shards[static_cast<size_t>(s)];
   const auto poll = std::chrono::milliseconds(opts_.drift_poll_ms);
+  // The previous iteration applied ops or rebuilt (not an idle wake-up).
+  bool worked = false;
   // Ops were already waiting at the top of the previous iteration.
   bool was_waiting = false;
   for (;;) {
@@ -703,11 +705,12 @@ void ServeLoop::WriterLoop(std::shared_ptr<WriterGen> gen, int s) {
     bool migrating = false;
     {
       MutexLock lock(&w.queue_mu);
-      // Group commit only under a sustained stream: ops waiting at the top
-      // of two iterations in a row. A writer that slept before its last
-      // batch applies what is queued at once, so an isolated write (or a
-      // burst of two) is visible without sitting out the window.
-      const bool waiting = !w.queue.empty();
+      // Group commit only under a sustained stream: ops that queued up
+      // while the writer worked, at the top of two iterations in a row.
+      // Ops that landed while it slept or ran idle housekeeping are
+      // applied at once, so an isolated write (or a burst of two) is
+      // visible without sitting out the window.
+      const bool waiting = worked && !w.queue.empty();
       const bool streaming = waiting && was_waiting;
       was_waiting = waiting;
       const auto wake_deadline = std::chrono::steady_clock::now() + poll;
@@ -755,6 +758,7 @@ void ServeLoop::WriterLoop(std::shared_ptr<WriterGen> gen, int s) {
       migrating = w.dual_write || w.closed;
     }
 
+    worked = !batch.empty();
     if (!batch.empty()) {
       shard.ApplyBatch(batch);
       {
@@ -807,6 +811,7 @@ void ServeLoop::WriterLoop(std::shared_ptr<WriterGen> gen, int s) {
       // Per-shard rebuild: only this shard publishes a fresh instance;
       // every other shard keeps serving its current snapshots.
       shard.Rebuild(recent);
+      worked = true;
       {
         MutexLock lock(&w.monitor_mu);
         w.monitor.ResetAfterRebuild();

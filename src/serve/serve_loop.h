@@ -113,10 +113,11 @@ struct ServeOptions {
   // Max update ops applied per per-shard snapshot publish.
   size_t writer_batch_limit = 256;
   // Group commit under a sustained stream. An idle writer applies what is
-  // queued at once; only a writer that found ops already waiting at the
-  // top of two loop iterations in a row lingers up to this long (or until
-  // writer_batch_limit ops are queued) before applying, so a fast submit
-  // stream amortizes snapshot publishes instead of swapping per op.
+  // queued at once; only a writer that found ops queued up while it
+  // applied ops or rebuilt, at the top of two loop iterations in a row,
+  // lingers up to this long (or until writer_batch_limit ops are queued)
+  // before applying, so a fast submit stream amortizes snapshot publishes
+  // instead of swapping per op.
   // Bounds visibility staleness under a stream; 0 never lingers.
   int writer_coalesce_ms = 2;
   // Writer wake-up period for drift checks when no updates arrive.

@@ -382,6 +382,51 @@ TEST(ObsServeTest, IdleWriterPublishesBurstOfTwoAtOnce) {
   EXPECT_TRUE(VisibleWithin(loop, b, std::chrono::seconds(2)));
 }
 
+// The other half of the rule: ops that queued up while the writer worked,
+// found at the top of two iterations in a row, are a stream, and it
+// lingers the full window (or until writer_batch_limit ops wait) before
+// applying them. Drift rebuilds keep the writer busy long enough that the
+// test's ops land between its iterations: `a` arrives during one rebuild
+// and is applied at once together with a second rebuild request; `b`
+// arrives during that second rebuild, so the next iteration finds ops
+// waiting for the second time in a row and lingers.
+TEST(ObsServeTest, WriterLingersWhenOpsWaitTwoIterationsInARow) {
+  TestScenario s = MakeScenario(Region::kJapan, 10000, 200, 2e-3, 410);
+  s.data = DedupeCoords(s.data);
+  ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(),
+                 LongCoalesceOpts());
+  // An idle writer applies `m` at once; a rebuild follows it, either in
+  // the same iteration or (if the request lands after the take) the next,
+  // whose top finds nothing waiting. A rebuild of this shard takes far
+  // longer than the pause, so `a` lands while it runs.
+  const Point m{0.5, 0.5, 96000010};
+  loop.SubmitInsert(m);
+  loop.TriggerRebuild();
+  ASSERT_TRUE(VisibleWithin(loop, m, std::chrono::seconds(2)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const Point a{0.25, 0.5, 96000011};
+  loop.SubmitInsert(a);
+  loop.TriggerRebuild();
+  ASSERT_TRUE(VisibleWithin(loop, a, std::chrono::seconds(30)));
+  const Point b{0.75, 0.5, 96000012};
+  loop.SubmitInsert(b);
+  // Once the second rebuild is done the writer reaches its next top, and
+  // the linger then holds `b` back for the whole 10 s window (Stop ends
+  // it).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (loop.metrics().Snapshot().CounterValue(
+             "serve_drift_rebuilds_total") < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(loop.metrics().Snapshot().CounterValue(
+                "serve_drift_rebuilds_total"),
+            2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(loop.PointLookup(b));
+}
+
 // A sustained stream still group-commits: back-to-back submits from one
 // thread land in batches, not one publish per op.
 TEST(ObsServeTest, SubmitStreamGroupCommits) {

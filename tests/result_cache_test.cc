@@ -368,6 +368,43 @@ TEST(ResultCacheTest, PublishHistoryIsBoundedByOps) {
   EXPECT_TRUE(index.UnchangedWithin(q, v1 - 8, v1));
 }
 
+// ...but never fewer than kPublishHistoryMinPublishes publishes: a
+// group-committed stream's large batches stay covered that far back even
+// though they hold far more than kPublishHistoryDepth ops.
+TEST(ResultCacheTest, PublishHistoryKeepsMinPublishesOfLargeBatches) {
+  const Dataset data = MakeUniformDataset(4000, 83);
+  QueryGenOptions qopts;
+  qopts.num_queries = 16;
+  qopts.selectivity = 1e-3;
+  const Workload workload =
+      GenerateCheckinWorkload(Region::kCaliNev, data.bounds, qopts);
+  VersionedIndexOptions vopts;
+  vopts.publish_history = true;
+  VersionedIndex index(WaziFactory(), data, workload, FastOpts(), vopts);
+  const Rect q = Rect::Of(0.05, 0.05, 0.15, 0.15);
+
+  constexpr uint64_t kOpsPerPublish = 64;
+  static_assert(VersionedIndex::kPublishHistoryMinPublishes * kOpsPerPublish >
+                VersionedIndex::kPublishHistoryDepth);
+  int64_t id = 1500000;
+  const auto publish_outside = [&] {
+    std::vector<UpdateOp> batch;
+    for (uint64_t k = 0; k < kOpsPerPublish; ++k, ++id) {
+      batch.push_back(UpdateOp::Insert(
+          Point{0.9, 0.5 + 1e-5 * static_cast<double>(id - 1500000), id}));
+    }
+    index.ApplyBatch(batch);
+  };
+  const uint64_t v0 = index.version();
+  for (uint64_t i = 0; i < VersionedIndex::kPublishHistoryMinPublishes; ++i) {
+    publish_outside();
+  }
+  EXPECT_TRUE(index.UnchangedWithin(q, v0, index.version()));
+  publish_outside();
+  EXPECT_FALSE(index.UnchangedWithin(q, v0, index.version()));
+  EXPECT_TRUE(index.UnchangedWithin(q, v0 + 1, index.version()));
+}
+
 TEST(ResultCacheTest, OverwrittenHistoryInvalidatesPinnedProbe) {
   // The pinned set parks a snapshot across every publish below.
   ServeOptions opts = CachedOpts(1, 4 << 20);
