@@ -47,18 +47,16 @@ int ScenarioConfig::client_threads() const {
 OpsResult DriveOps(int threads, double seconds, uint64_t seed,
                    const std::function<bool(int, Rng&)>& op) {
   const int n = std::max(1, threads);
-  constexpr size_t kWindow = size_t{1} << 16;
   std::atomic<bool> start{false};
   std::atomic<bool> stop{false};
   std::atomic<int64_t> total_ops{0};
   std::atomic<int64_t> total_errors{0};
-  std::vector<serve::LatencyRecorder> recorders(static_cast<size_t>(n),
-                                                serve::LatencyRecorder(kWindow));
+  std::vector<obs::HistogramSnapshot> latencies(static_cast<size_t>(n));
   std::vector<std::thread> clients;
   clients.reserve(static_cast<size_t>(n));
   for (int t = 0; t < n; ++t) {
     clients.emplace_back([&, t] {
-      serve::LatencyRecorder& rec = recorders[static_cast<size_t>(t)];
+      obs::Histogram rec(obs::Histogram::FineLatencyBoundsNs());
       Rng rng(seed + static_cast<uint64_t>(t));
       int64_t ops = 0, errors = 0;
       while (!start.load(std::memory_order_acquire)) {
@@ -71,6 +69,7 @@ OpsResult DriveOps(int threads, double seconds, uint64_t seed,
         rec.Record(timer.ElapsedNs());
         ++ops;
       }
+      latencies[static_cast<size_t>(t)] = rec.Snapshot();
       total_ops.fetch_add(ops, std::memory_order_relaxed);
       total_errors.fetch_add(errors, std::memory_order_relaxed);
     });
@@ -88,8 +87,7 @@ OpsResult DriveOps(int threads, double seconds, uint64_t seed,
   result.elapsed_seconds = wall.ElapsedSeconds();
   result.ops = total_ops.load();
   result.errors = total_errors.load();
-  result.latencies = serve::LatencyRecorder(kWindow * static_cast<size_t>(n));
-  for (const serve::LatencyRecorder& r : recorders) result.latencies.Merge(r);
+  result.latencies = obs::SumSnapshots(latencies);
   return result;
 }
 
@@ -108,56 +106,6 @@ size_t ZipfSampler::Sample(Rng& rng) const {
   const double u = rng.NextDouble();
   const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
   return static_cast<size_t>(it - cdf_.begin());
-}
-
-Rect MapInto(const Rect& r, const Rect& from, const Rect& to) {
-  const double sx = (to.max_x - to.min_x) / (from.max_x - from.min_x);
-  const double sy = (to.max_y - to.min_y) / (from.max_y - from.min_y);
-  return Rect::Of(to.min_x + (r.min_x - from.min_x) * sx,
-                  to.min_y + (r.min_y - from.min_y) * sy,
-                  to.min_x + (r.max_x - from.min_x) * sx,
-                  to.min_y + (r.max_y - from.min_y) * sy);
-}
-
-SentinelGrid::SentinelGrid(serve::ServeLoop* loop, const Rect& b) {
-  for (int gx = 0; gx < 8; ++gx) {
-    for (int gy = 0; gy < 8; ++gy) {
-      Point p;
-      p.x = b.min_x + (b.max_x - b.min_x) * (0.5 + gx) / 8.0;
-      p.y = b.min_y + (b.max_y - b.min_y) * (0.5 + gy) / 8.0;
-      p.id = 900000000 + gx * 8 + gy;
-      points_.push_back(p);
-      loop->SubmitInsert(p);
-    }
-  }
-  loop->Flush();
-  const double rx = (b.max_x - b.min_x) * 0.01;
-  const double ry = (b.max_y - b.min_y) * 0.01;
-  validator_ = std::thread([this, loop, rx, ry] {
-    size_t i = 0;
-    while (!stop_.load(std::memory_order_relaxed)) {
-      const Point& p = points_[i++ % points_.size()];
-      if (!loop->PointLookup(p)) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-      }
-      const serve::QueryResult res =
-          loop->Range(Rect::Of(p.x - rx, p.y - ry, p.x + rx, p.y + ry));
-      const bool seen =
-          std::any_of(res.hits.begin(), res.hits.end(),
-                      [&p](const Point& hit) { return hit.id == p.id; });
-      if (!seen) misses_.fetch_add(1, std::memory_order_relaxed);
-      // Throttled: a probe, not load — full-tilt domain-uniform queries
-      // would perturb the measured QPS and dilute the skew signal the
-      // repartition monitor watches.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-}
-
-int64_t SentinelGrid::Stop() {
-  stop_.store(true, std::memory_order_relaxed);
-  if (validator_.joinable()) validator_.join();
-  return misses_.load();
 }
 
 serve::ServeOptions Scenario::Options(const ScenarioConfig&) const {
@@ -183,9 +131,9 @@ PhaseResult Scenario::PhaseFromLoad(const std::string& name,
     phase.writes_per_s =
         static_cast<double>(load.writes) / load.elapsed_seconds;
   }
-  phase.p50_ns = load.latencies.PercentileNs(50);
-  phase.p90_ns = load.latencies.PercentileNs(90);
-  phase.p99_ns = load.latencies.PercentileNs(99);
+  phase.p50_ns = std::llround(load.latencies.Percentile(50));
+  phase.p90_ns = std::llround(load.latencies.Percentile(90));
+  phase.p99_ns = std::llround(load.latencies.Percentile(99));
   const int64_t lookups = after.lookups() - before.lookups();
   phase.cache_hit_rate =
       lookups == 0 ? 0.0
@@ -205,9 +153,9 @@ PhaseResult Scenario::PhaseFromOps(const std::string& name,
     phase.qps = static_cast<double>(phase.queries) / ops.elapsed_seconds;
     phase.writes_per_s = static_cast<double>(writes) / ops.elapsed_seconds;
   }
-  phase.p50_ns = ops.latencies.PercentileNs(50);
-  phase.p90_ns = ops.latencies.PercentileNs(90);
-  phase.p99_ns = ops.latencies.PercentileNs(99);
+  phase.p50_ns = std::llround(ops.latencies.Percentile(50));
+  phase.p90_ns = std::llround(ops.latencies.Percentile(90));
+  phase.p99_ns = std::llround(ops.latencies.Percentile(99));
   return phase;
 }
 

@@ -26,12 +26,10 @@
 #ifndef WAZI_BENCH_WORKLOADS_SCENARIO_H_
 #define WAZI_BENCH_WORKLOADS_SCENARIO_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -108,7 +106,7 @@ struct OpsResult {
   int64_t ops = 0;
   int64_t errors = 0;
   double elapsed_seconds = 0.0;
-  serve::LatencyRecorder latencies{0};
+  obs::HistogramSnapshot latencies;  // every op, summed over the threads
 };
 OpsResult DriveOps(int threads, double seconds, uint64_t seed,
                    const std::function<bool(int thread, Rng& rng)>& op);
@@ -124,36 +122,6 @@ class ZipfSampler {
 
  private:
   std::vector<double> cdf_;  // cumulative, normalized to cdf_.back() == 1
-};
-
-// Affinely maps `r` from `from` into `to` — the skew-shift transform that
-// collapses a workload into a corner of the domain.
-Rect MapInto(const Rect& r, const Rect& from, const Rect& to);
-
-// The sentinel-grid checker: an 8x8 grid of points across `bounds`,
-// inserted up front and never removed, so every probe must find them for
-// the rest of the run, across any number of migrations. A throttled
-// validator thread probes them through point lookups AND range queries
-// centred on them — a point lost or double-routed during a live router
-// swap or per-cell migration shows up as a miss.
-class SentinelGrid {
- public:
-  // Inserts the grid into `loop`, flushes, and starts the validator.
-  SentinelGrid(serve::ServeLoop* loop, const Rect& bounds);
-  ~SentinelGrid() { Stop(); }
-
-  SentinelGrid(const SentinelGrid&) = delete;
-  SentinelGrid& operator=(const SentinelGrid&) = delete;
-
-  // Stops the validator (idempotent) and returns the misses it counted.
-  int64_t Stop();
-  const std::vector<Point>& points() const { return points_; }
-
- private:
-  std::vector<Point> points_;
-  std::atomic<int64_t> misses_{0};
-  std::atomic<bool> stop_{false};
-  std::thread validator_;
 };
 
 class Scenario {

@@ -8,6 +8,8 @@
 // migrations/moved/carried for the trajectory); correctness is gated,
 // adaptivity is recorded.
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -19,6 +21,84 @@
 
 namespace wazi::bench::workloads {
 namespace {
+
+// Affinely maps `r` from `from` into `to` — the skew-shift transform that
+// collapses a workload into a corner of the domain.
+Rect MapInto(const Rect& r, const Rect& from, const Rect& to) {
+  const double sx = (to.max_x - to.min_x) / (from.max_x - from.min_x);
+  const double sy = (to.max_y - to.min_y) / (from.max_y - from.min_y);
+  return Rect::Of(to.min_x + (r.min_x - from.min_x) * sx,
+                  to.min_y + (r.min_y - from.min_y) * sy,
+                  to.min_x + (r.max_x - from.min_x) * sx,
+                  to.min_y + (r.max_y - from.min_y) * sy);
+}
+
+// The sentinel-grid checker: an 8x8 grid of points across `bounds`,
+// inserted up front and never removed, so every probe must find them for
+// the rest of the run, across any number of migrations. A throttled
+// validator thread probes them through point lookups AND range queries
+// centred on them — a point lost or double-routed during a live router
+// swap or per-cell migration shows up as a miss.
+class SentinelGrid {
+ public:
+  // Inserts the grid into `loop`, flushes, and starts the validator.
+  SentinelGrid(serve::ServeLoop* loop, const Rect& bounds);
+  ~SentinelGrid() { Stop(); }
+
+  SentinelGrid(const SentinelGrid&) = delete;
+  SentinelGrid& operator=(const SentinelGrid&) = delete;
+
+  // Stops the validator (idempotent) and returns the misses it counted.
+  int64_t Stop();
+  const std::vector<Point>& points() const { return points_; }
+
+ private:
+  std::vector<Point> points_;
+  std::atomic<int64_t> misses_{0};
+  std::atomic<bool> stop_{false};
+  std::thread validator_;
+};
+
+SentinelGrid::SentinelGrid(serve::ServeLoop* loop, const Rect& b) {
+  for (int gx = 0; gx < 8; ++gx) {
+    for (int gy = 0; gy < 8; ++gy) {
+      Point p;
+      p.x = b.min_x + (b.max_x - b.min_x) * (0.5 + gx) / 8.0;
+      p.y = b.min_y + (b.max_y - b.min_y) * (0.5 + gy) / 8.0;
+      p.id = 900000000 + gx * 8 + gy;
+      points_.push_back(p);
+      loop->SubmitInsert(p);
+    }
+  }
+  loop->Flush();
+  const double rx = (b.max_x - b.min_x) * 0.01;
+  const double ry = (b.max_y - b.min_y) * 0.01;
+  validator_ = std::thread([this, loop, rx, ry] {
+    size_t i = 0;
+    while (!stop_.load(std::memory_order_relaxed)) {
+      const Point& p = points_[i++ % points_.size()];
+      if (!loop->PointLookup(p)) {
+        misses_.fetch_add(1, std::memory_order_relaxed);
+      }
+      const serve::QueryResult res =
+          loop->Range(Rect::Of(p.x - rx, p.y - ry, p.x + rx, p.y + ry));
+      const bool seen =
+          std::any_of(res.hits.begin(), res.hits.end(),
+                      [&p](const Point& hit) { return hit.id == p.id; });
+      if (!seen) misses_.fetch_add(1, std::memory_order_relaxed);
+      // Throttled: a probe, not load — full-tilt domain-uniform queries
+      // would perturb the measured QPS and dilute the skew signal the
+      // repartition monitor watches.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+}
+
+int64_t SentinelGrid::Stop() {
+  stop_.store(true, std::memory_order_relaxed);
+  if (validator_.joinable()) validator_.join();
+  return misses_.load();
+}
 
 class ShiftingSkewScenario : public Scenario {
  public:

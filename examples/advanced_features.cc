@@ -1,16 +1,14 @@
 // Advanced features beyond plain range queries: kNN by range expansion,
-// spatial joins, index persistence, and drift monitoring — the library's
+// index persistence, and drift monitoring — the library's
 // implementations of the paper's §6.3 remarks and §7 future work.
 //
 //   ./examples/advanced_features
 
 #include <cstdio>
 
-#include "common/timer.h"
 #include "core/drift_monitor.h"
 #include "core/wazi.h"
 #include "index/knn.h"
-#include "index/spatial_join.h"
 #include "workload/query_generator.h"
 #include "workload/region_generator.h"
 
@@ -36,15 +34,6 @@ int main() {
               tokyo.x, tokyo.y, knn.range_queries_issued,
               static_cast<long long>(knn.neighbors.front().id),
               knn.neighbors.front().x, knn.neighbors.front().y);
-
-  // --- Spatial join: POIs within walking distance of 1,000 "users". ---
-  const std::vector<Point> users = SamplePointQueries(data, 1000, 9);
-  Timer join_timer;
-  const std::vector<JoinPair> pairs = DistanceJoin(index, users, 0.005);
-  std::printf("distance join: %zu (user, poi) pairs within 0.005 for %zu "
-              "users in %lldms\n",
-              pairs.size(), users.size(),
-              static_cast<long long>(join_timer.ElapsedNs() / 1000000));
 
   // --- Persistence: save, reload, query again. ---
   const std::string path = "/tmp/wazi_advanced_example.idx";

@@ -1,4 +1,4 @@
-#include "baselines/registry.h"
+#include "index/spatial_index.h"
 
 #include "baselines/cur_tree.h"
 #include "baselines/flood.h"

@@ -30,9 +30,7 @@ serve::ClientLoadResult RunWireClientLoad(
   std::atomic<int64_t> total_writes{0};
   std::atomic<bool> start{false};
   std::atomic<bool> stop{false};
-  std::vector<serve::LatencyRecorder> recorders(
-      static_cast<size_t>(threads),
-      serve::LatencyRecorder(opts.latency_window));
+  std::vector<obs::HistogramSnapshot> latencies(static_cast<size_t>(threads));
 
   // Connect every client BEFORE the clock starts; a refused connect
   // aborts the run instead of measuring a partial fleet.
@@ -50,7 +48,7 @@ serve::ClientLoadResult RunWireClientLoad(
   for (int t = 0; t < threads; ++t) {
     clients.emplace_back([&, t] {
       WireClient& client = *clients_conn[static_cast<size_t>(t)];
-      serve::LatencyRecorder& rec = recorders[static_cast<size_t>(t)];
+      obs::Histogram rec(obs::Histogram::FineLatencyBoundsNs());
       Rng rng(opts.seed + static_cast<uint64_t>(t));
       size_t qi = static_cast<size_t>(t) * 1337;
       size_t hot_i = static_cast<size_t>(t) * 13;
@@ -130,6 +128,7 @@ serve::ClientLoadResult RunWireClientLoad(
         }
       }
       while (!in_flight.empty()) drain_one();
+      latencies[static_cast<size_t>(t)] = rec.Snapshot();
       // relaxed: totals are only read after the worker threads join.
       total_queries.fetch_add(queries, std::memory_order_relaxed);
       total_writes.fetch_add(writes, std::memory_order_relaxed);
@@ -150,11 +149,7 @@ serve::ClientLoadResult RunWireClientLoad(
   result.elapsed_seconds = wall.ElapsedSeconds();
   result.queries = total_queries.load();
   result.writes = total_writes.load();
-  result.latencies = serve::LatencyRecorder(opts.latency_window *
-                                            static_cast<size_t>(threads));
-  for (const serve::LatencyRecorder& r : recorders) {
-    result.latencies.Merge(r);
-  }
+  result.latencies = obs::SumSnapshots(latencies);
   // Connections close here, after every thread joined.
   clients_conn.clear();
   return result;

@@ -1,12 +1,12 @@
 // Remote twin of serve/client_driver.h: N client threads drive a
 // WireServer over TCP with the SAME workload semantics as RunClientLoad
 // (round-robin reads with per-thread offsets, optional hot set, optional
-// write mix with per-thread remove-own-inserts, pipelined depth), so
-// `bench_serve_throughput --net` can report wire-vs-embedded overhead as
-// a like-for-like ratio. Each thread owns one connection; reads are
-// pipelined `admission_depth` deep (depth 0 runs synchronously), and the
-// wall clock starts before any client issues an op (the same start-latch
-// discipline as the embedded driver).
+// write mix with per-thread remove-own-inserts, pipelined depth), so the
+// scenario suite's `--net` runs and `wazi_cli throughput --connect`
+// measure the wire against the embedded path like for like. Each thread
+// owns one connection; reads are pipelined `admission_depth` deep (depth
+// 0 runs synchronously), and the wall clock starts before any client
+// issues an op (the same start-latch discipline as the embedded driver).
 
 #ifndef WAZI_NET_WIRE_LOAD_H_
 #define WAZI_NET_WIRE_LOAD_H_

@@ -1,7 +1,7 @@
 // Exporters for the metrics registry and trace journal: a Prometheus-style
 // text dump (scrape endpoint / CLI paste format) and a JSON snapshot
-// (machine-readable perf trajectory — bench_serve_throughput emits
-// BENCH_serve_<scenario>.json through the JsonWriter here).
+// (machine-readable perf trajectory — bench_scenarios emits
+// BENCH_<scenario>.json through the JsonWriter here).
 //
 // Both render from MetricsSnapshot (a plain copy), never from the live
 // registry, so exporting can never stall a hot path.

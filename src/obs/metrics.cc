@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace wazi::obs {
@@ -20,6 +21,16 @@ std::vector<int64_t> Histogram::DefaultLatencyBoundsNs() {
   bounds.reserve(26);
   for (int64_t b = 256; b <= (int64_t{1} << 33); b *= 2) {
     bounds.push_back(b);  // 256 ns, 512 ns, ... ~8.6 s
+  }
+  return bounds;
+}
+
+std::vector<int64_t> Histogram::FineLatencyBoundsNs() {
+  std::vector<int64_t> bounds;
+  bounds.reserve(1441);
+  for (int64_t v = 1; v < (int64_t{1} << 36);
+       v += std::max<int64_t>(1, v / 64)) {
+    bounds.push_back(v);
   }
   return bounds;
 }
@@ -55,9 +66,9 @@ HistogramSnapshot Histogram::Snapshot() const {
 double HistogramSnapshot::Percentile(double pct) const {
   if (count <= 0) return 0.0;
   pct = std::min(100.0, std::max(0.0, pct));
-  // Same target rank as LatencyRecorder::PercentileNs: pct/100 * (n - 1),
-  // continuous in pct. With buckets instead of retained samples, the rank
-  // is then placed linearly within its bucket's [lower, upper] span.
+  // Target rank pct/100 * (n - 1), continuous in pct. With buckets
+  // instead of retained samples, the rank is then placed linearly within
+  // its bucket's [lower, upper] span.
   const double rank = pct / 100.0 * static_cast<double>(count - 1);
   // count may transiently exceed sum(buckets) under concurrent Record
   // (Snapshot loads are not one atomic cut), so the walk clamps into the
@@ -87,6 +98,20 @@ double HistogramSnapshot::Percentile(double pct) const {
     cum += c;
   }
   return 0.0;  // unreachable: i == last returns above
+}
+
+HistogramSnapshot SumSnapshots(const std::vector<HistogramSnapshot>& parts) {
+  if (parts.empty()) return HistogramSnapshot{};
+  HistogramSnapshot total = parts.front();
+  for (size_t p = 1; p < parts.size(); ++p) {
+    assert(parts[p].bounds == total.bounds && "one bucket layout");
+    for (size_t i = 0; i < total.buckets.size(); ++i) {
+      total.buckets[i] += parts[p].buckets[i];
+    }
+    total.count += parts[p].count;
+    total.sum += parts[p].sum;
+  }
+  return total;
 }
 
 int64_t MetricsSnapshot::CounterValue(const std::string& name,

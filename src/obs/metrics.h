@@ -11,10 +11,9 @@
 //     never a registry lock.
 //   * Counters are monotone (Add >= 0 by contract); gauges move both ways;
 //     histograms record int64 samples into atomic log-spaced buckets and
-//     extract percentiles with the same linear-interpolation semantics as
-//     serve/latency_recorder.h (continuous in pct, exact median), adapted
-//     to bucketed data: the target rank is interpolated WITHIN its bucket's
-//     bounds instead of between retained samples.
+//     extract percentiles by linear interpolation (continuous in pct):
+//     the target rank is interpolated WITHIN its bucket's bounds, since
+//     individual samples are not retained.
 //   * Snapshot() copies every metric under the registry mutex into plain
 //     structs for the exporters (obs/exporters.h); relaxed loads are fine
 //     because every metric is independently monotone/atomic — a snapshot
@@ -70,11 +69,10 @@ struct HistogramSnapshot {
   int64_t count = 0;
   int64_t sum = 0;
 
-  // pct in [0, 100], PR-5 interpolation semantics (latency_recorder.h):
-  // the target rank is pct/100 * (count - 1), linearly interpolated — here
-  // within the containing bucket's [lower, upper] span since individual
-  // samples are not retained. 0 with no samples; the overflow bucket
-  // reports its lower bound (it has no upper).
+  // pct in [0, 100]: the target rank is pct/100 * (count - 1), linearly
+  // interpolated within the containing bucket's [lower, upper] span since
+  // individual samples are not retained. 0 with no samples; the overflow
+  // bucket reports its lower bound (it has no upper).
   double Percentile(double pct) const;
   double mean() const {
     return count == 0 ? 0.0
@@ -103,6 +101,12 @@ class Histogram {
   // bucket): wide enough for query latencies from a cache hit to a
   // stalled migration, 26 buckets miss no order of magnitude.
   static std::vector<int64_t> DefaultLatencyBoundsNs();
+  // Log-linear nanosecond bounds for load drivers that report latency
+  // percentiles: each bound is the previous plus max(1, v/64), 1 ns ..
+  // 2^36 ns (~69 s) in 1,441 buckets, so a percentile lands within ~1.6%
+  // of the sample it stands for. Fixed memory however many ops a run
+  // records.
+  static std::vector<int64_t> FineLatencyBoundsNs();
 
  private:
   std::vector<int64_t> bounds_;  // immutable after construction
@@ -110,6 +114,11 @@ class Histogram {
   std::atomic<int64_t> count_{0};
   std::atomic<int64_t> sum_{0};
 };
+
+// Sum of histogram snapshots that share one bucket layout (e.g. one per
+// load-driver thread, summed after the join): buckets, count and sum add
+// up. Empty input gives an empty snapshot.
+HistogramSnapshot SumSnapshots(const std::vector<HistogramSnapshot>& parts);
 
 // Everything Snapshot() carries, name-sorted (std::map iteration order) so
 // exporter output is deterministic.

@@ -30,14 +30,13 @@ ClientLoadResult RunClientLoad(ServeLoop& loop, const Workload& workload,
   // spawned used to land outside the timed window and inflate QPS.
   std::atomic<bool> start{false};
   std::atomic<bool> stop{false};
-  std::vector<LatencyRecorder> recorders(
-      static_cast<size_t>(threads), LatencyRecorder(opts.latency_window));
+  std::vector<obs::HistogramSnapshot> latencies(static_cast<size_t>(threads));
 
   std::vector<std::thread> clients;
   clients.reserve(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t) {
     clients.emplace_back([&, t] {
-      LatencyRecorder& rec = recorders[static_cast<size_t>(t)];
+      obs::Histogram rec(obs::Histogram::FineLatencyBoundsNs());
       Rng rng(opts.seed + static_cast<uint64_t>(t));
       QueryStats qs;
       size_t qi = static_cast<size_t>(t) * 1337;
@@ -125,6 +124,7 @@ ClientLoadResult RunClientLoad(ServeLoop& loop, const Workload& workload,
         }
       }
       while (!in_flight.empty()) drain_one(&queries);
+      latencies[static_cast<size_t>(t)] = rec.Snapshot();
       // relaxed: totals are only read after the worker threads join.
       total_queries.fetch_add(queries, std::memory_order_relaxed);
       total_writes.fetch_add(writes, std::memory_order_relaxed);
@@ -146,10 +146,7 @@ ClientLoadResult RunClientLoad(ServeLoop& loop, const Workload& workload,
   loop.Flush();
   result.queries = total_queries.load();
   result.writes = total_writes.load();
-  // Sized to hold every thread's retained window, so merging loses nothing.
-  result.latencies =
-      LatencyRecorder(opts.latency_window * static_cast<size_t>(threads));
-  for (const LatencyRecorder& r : recorders) result.latencies.Merge(r);
+  result.latencies = obs::SumSnapshots(latencies);
   return result;
 }
 

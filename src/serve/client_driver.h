@@ -1,7 +1,8 @@
 // Shared client-load driver for the serving benchmarks and the
 // `wazi_cli throughput` command: N client threads issue range queries
-// (and optionally a write mix) against a ServeLoop for a fixed duration,
-// recording per-thread latencies that are merged losslessly at the end.
+// (and optionally a write mix) against a ServeLoop for a fixed duration.
+// Each thread records every read's latency into its own histogram; the
+// histograms are summed after the join.
 
 #ifndef WAZI_SERVE_CLIENT_DRIVER_H_
 #define WAZI_SERVE_CLIENT_DRIVER_H_
@@ -9,7 +10,7 @@
 #include <cstdint>
 #include <functional>
 
-#include "serve/latency_recorder.h"
+#include "obs/metrics.h"
 #include "serve/serve_loop.h"
 
 namespace wazi::serve {
@@ -20,16 +21,14 @@ struct ClientLoadOptions {
   // this run's own inserts); 0 = read-only.
   int write_pct = 0;
   double seconds = 1.0;
-  // Latency samples retained per client thread (steady-state window).
-  size_t latency_window = 1 << 16;
   // Region inserted points are drawn from (uniformly). The default covers
-  // the generators' unit square; the repartition benchmark narrows it to a
-  // corner to skew the per-shard item counts.
+  // the generators' unit square; the shifting_skew scenario narrows it to
+  // a corner to skew the per-shard item counts.
   Rect insert_region = Rect::Of(0.0, 0.0, 1.0, 1.0);
   // Skewed query selection: with probability `hot_pct`% a read re-asks one
   // of the first `hot_fraction` of the workload's queries (round-robin
   // within that hot set) instead of round-robinning the whole workload.
-  // 0 keeps the uniform round-robin. The cache benchmark uses 0.1/90 —
+  // 0 keeps the uniform round-robin. The ycsb_mix scenario uses 0.1/90 —
   // 90% of reads hit the hottest 10% of rectangles.
   double hot_fraction = 0.0;
   int hot_pct = 90;
@@ -61,9 +60,9 @@ struct ClientLoadResult {
   int64_t queries = 0;
   int64_t writes = 0;
   double elapsed_seconds = 0.0;
-  // All threads' retained samples (the merged recorder is sized to hold
-  // every per-thread window).
-  LatencyRecorder latencies{0};
+  // Every completed read's latency (obs::Histogram::FineLatencyBoundsNs
+  // buckets), summed over the client threads.
+  obs::HistogramSnapshot latencies;
 };
 
 // Drives `loop` with opts.threads client threads for opts.seconds. Reads

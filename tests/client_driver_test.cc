@@ -46,6 +46,8 @@ TEST(ClientDriverTest, WallClockCoversConfiguredDuration) {
   const ClientLoadResult r = RunClientLoad(loop, s.workload, load);
   EXPECT_GE(r.elapsed_seconds, load.seconds);
   EXPECT_GT(r.queries, 0);
+  // Every completed read is in the latency histogram, however many ran.
+  EXPECT_EQ(r.latencies.count, r.queries);
 }
 
 TEST(ClientDriverTest, SlowThreadSpawnCannotInflateQps) {

@@ -1,18 +1,18 @@
 // MetricsRegistry: handle stability, counter/gauge/histogram semantics,
-// percentile interpolation compatibility with serve/latency_recorder.h,
-// and registry consistency under many concurrent writers + a snapshot
+// percentile interpolation, the load drivers' fine layout and snapshot
+// sum, and registry consistency under many concurrent writers + a snapshot
 // poller (the TSan target: no torn reads, counters never go backwards,
 // histogram invariants hold in every snapshot).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "serve/latency_recorder.h"
 
 namespace wazi::obs {
 namespace {
@@ -101,8 +101,7 @@ TEST(HistogramTest, CountSumAndBucketPlacement) {
 TEST(HistogramTest, PercentileInterpolatesWithinBucket) {
   // 10 samples all in the single [0, 10] bucket: the rank pct/100 * (n-1)
   // interpolates across the bucket span, so the median of a full bucket
-  // sits at its middle, exactly like latency_recorder's continuous
-  // percentile over retained samples.
+  // sits at its middle.
   Histogram h({10});
   for (int i = 0; i < 10; ++i) h.Record(i);
   EXPECT_DOUBLE_EQ(h.Percentile(0), 0.0);
@@ -126,19 +125,51 @@ TEST(HistogramTest, PercentileIsMonotoneAndBoundedByBuckets) {
   EXPECT_GT(h.Percentile(99), 100000.0);
 }
 
-TEST(HistogramTest, MatchesLatencyRecorderSemanticsOnExactBucketRanks) {
-  // When every sample IS a bucket bound, the bucketed interpolation and
-  // the retained-sample interpolation see the same order statistics.
-  serve::LatencyRecorder rec;
+TEST(HistogramTest, MedianOfExactBucketBoundsIsTheSampleMedian) {
+  // When every sample IS a bucket bound, the bucketed interpolation sees
+  // the same order statistics as the samples themselves: rank(50) = 1.5
+  // lies between 200 and 300, and the histogram interpolates within
+  // bucket [200, 300] to that midpoint.
   Histogram h({100, 200, 300, 400});
-  for (int64_t v : {100, 200, 300, 400}) {
-    rec.Record(v);
-    h.Record(v);
-  }
-  // rank(50) = 1.5 -> between 200 and 300 for the recorder; the histogram
-  // interpolates within bucket [200, 300] to the same midpoint.
-  EXPECT_NEAR(static_cast<double>(rec.PercentileNs(50)), 250.0, 1.0);
+  for (int64_t v : {100, 200, 300, 400}) h.Record(v);
   EXPECT_NEAR(h.Percentile(50), 250.0, 1.0);
+}
+
+TEST(HistogramTest, FineLatencyBoundsAreLogLinear) {
+  const std::vector<int64_t> b = Histogram::FineLatencyBoundsNs();
+  ASSERT_EQ(b.size(), 1441u);
+  EXPECT_EQ(b.front(), 1);
+  EXPECT_LT(b.back(), int64_t{1} << 36);
+  for (size_t i = 1; i < b.size(); ++i) {
+    ASSERT_EQ(b[i] - b[i - 1], std::max<int64_t>(1, b[i - 1] / 64));
+  }
+}
+
+TEST(HistogramTest, SumOfSnapshotsEqualsOneHistogramFedBothStreams) {
+  // Two per-thread histograms, summed after the fact, must report exactly
+  // what one histogram recording both streams would.
+  Histogram a(Histogram::FineLatencyBoundsNs());
+  Histogram b(Histogram::FineLatencyBoundsNs());
+  Histogram both(Histogram::FineLatencyBoundsNs());
+  for (int64_t i = 0; i < 5000; ++i) {
+    const int64_t fast = 300 + (i * 7919) % 2000;
+    const int64_t slow = 40000 + (i * 104729) % 900000;
+    a.Record(fast);
+    b.Record(slow);
+    both.Record(fast);
+    both.Record(slow);
+  }
+  const HistogramSnapshot sum = SumSnapshots({a.Snapshot(), b.Snapshot()});
+  const HistogramSnapshot want = both.Snapshot();
+  EXPECT_EQ(sum.bounds, want.bounds);
+  EXPECT_EQ(sum.buckets, want.buckets);
+  EXPECT_EQ(sum.count, want.count);
+  EXPECT_EQ(sum.sum, want.sum);
+  for (double pct : {0.0, 50.0, 90.0, 99.0, 100.0}) {
+    EXPECT_DOUBLE_EQ(sum.Percentile(pct), want.Percentile(pct)) << pct;
+  }
+  EXPECT_EQ(SumSnapshots({}).count, 0);
+  EXPECT_DOUBLE_EQ(SumSnapshots({}).Percentile(50), 0.0);
 }
 
 TEST(HistogramTest, OverflowBucketReportsItsLowerBound) {

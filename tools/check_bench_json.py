@@ -3,8 +3,6 @@
 
 Stdlib-only schema checks, dispatched on the document's "schema" field:
 
-  wazi.bench.serve/1     bench_serve_throughput --json   (sweep cells,
-                         optional repartition arms)
   wazi.bench.scenario/1  bench_scenarios                 (named scenario,
                          per-phase rows, invariant verdict)
   wazi.bench.micro/1     bench_acquire / bench_scan_kernel (microbench
@@ -21,7 +19,6 @@ Exits non-zero with one line per violation.
 import json
 import sys
 
-SERVE_SCHEMA = "wazi.bench.serve/1"
 SCENARIO_SCHEMA = "wazi.bench.scenario/1"
 MICRO_SCHEMA = "wazi.bench.micro/1"
 
@@ -34,30 +31,6 @@ MICRO_ROW_REQUIRED = {
     "name": str,
     "ops": int,
     "ns_per_op": NUMBER,
-}
-
-CELL_REQUIRED = {
-    "shards": int,
-    "cache_mb": int,
-    "admission_window_us": int,
-    "write_pct": int,
-    "threads": int,
-    "qps": NUMBER,
-    "writes_per_s": NUMBER,
-    "p50_ns": NUMBER,
-    "p90_ns": NUMBER,
-    "p99_ns": NUMBER,
-    "cache_hit_rate": NUMBER,
-}
-
-ARM_REQUIRED = {
-    "arm": str,
-    "qps_pre": NUMBER,
-    "qps_post": NUMBER,
-    "p99_post_ns": NUMBER,
-    "migrations": int,
-    "incremental": int,
-    "moved_points": int,
 }
 
 PHASE_REQUIRED = {
@@ -121,57 +94,6 @@ def _check_metrics(doc, path, errors):
     for section in ("gauges", "histograms"):
         if not isinstance(metrics.get(section), dict):
             errors.append(f"{path}: metrics.{section} missing")
-
-
-def _validate_serve(doc, path):
-    errors = []
-    for key in ("bench", "scenario", "index"):
-        if not isinstance(doc.get(key), str):
-            errors.append(f"{path}: missing or non-string '{key}'")
-    for key in ("points", "seconds_per_cell"):
-        if key not in doc:
-            errors.append(f"{path}: missing '{key}'")
-
-    cells = doc.get("cells")
-    if not isinstance(cells, list):
-        errors.append(f"{path}: 'cells' missing or not a list")
-    elif not cells and not doc.get("repartition_arms"):
-        # The sweep is empty only in --repartition mode, where the arms
-        # carry the results instead.
-        errors.append(f"{path}: 'cells' empty without repartition_arms")
-    else:
-        for i, cell in enumerate(cells):
-            where = f"{path}: cells[{i}]"
-            if not isinstance(cell, dict):
-                errors.append(f"{where}: not an object")
-                continue
-            _check_fields(cell, CELL_REQUIRED, where, errors)
-            # Optional: --net mode tags each cell with how clients reached
-            # the engine.
-            transport = cell.get("transport")
-            if transport is not None and transport not in TRANSPORTS:
-                errors.append(
-                    f"{where}: transport {transport!r} not in {TRANSPORTS}")
-            if isinstance(cell.get("qps"), NUMBER) and cell["qps"] < 0:
-                errors.append(f"{where}: negative qps")
-            rate = cell.get("cache_hit_rate")
-            if isinstance(rate, NUMBER) and not 0 <= rate <= 1:
-                errors.append(f"{where}: cache_hit_rate {rate} not in [0,1]")
-
-    arms = doc.get("repartition_arms")
-    if arms is not None:
-        if not isinstance(arms, list):
-            errors.append(f"{path}: 'repartition_arms' is not a list")
-        else:
-            for i, arm in enumerate(arms):
-                where = f"{path}: repartition_arms[{i}]"
-                if not isinstance(arm, dict):
-                    errors.append(f"{where}: not an object")
-                    continue
-                _check_fields(arm, ARM_REQUIRED, where, errors)
-
-    _check_metrics(doc, path, errors)
-    return errors
 
 
 def _validate_scenario(doc, path):
@@ -290,15 +212,12 @@ def validate(path):
         return [f"{path}: top level is not an object"]
 
     schema = doc.get("schema")
-    if schema == SERVE_SCHEMA:
-        return _validate_serve(doc, path)
     if schema == SCENARIO_SCHEMA:
         return _validate_scenario(doc, path)
     if schema == MICRO_SCHEMA:
         return _validate_micro(doc, path)
     return [f"{path}: unknown schema {schema!r} "
-            f"(known: {SERVE_SCHEMA!r}, {SCENARIO_SCHEMA!r}, "
-            f"{MICRO_SCHEMA!r})"]
+            f"(known: {SCENARIO_SCHEMA!r}, {MICRO_SCHEMA!r})"]
 
 
 def main(argv):

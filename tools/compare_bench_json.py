@@ -7,16 +7,14 @@ two must describe the SAME experiment — same schema, scenario, scale,
 seed and index — and the fresh run must hold the baseline's performance
 within per-metric thresholds:
 
-  qps            >= baseline * --min-qps-ratio        (per phase/cell)
+  qps            >= baseline * --min-qps-ratio        (per phase)
   p50_ns         <= baseline * --max-p50-ratio
   p99_ns         <= baseline * --max-p99-ratio
-  passed         must be true in the fresh run (scenario schema)
+  passed         must be true in the fresh run
 
-Rows are matched structurally, never by position: scenario phases by
-name, serve cells by their full coordinates (shards, cache_mb,
-admission_window_us, write_pct, threads, transport). A row present in
-the baseline but missing from the fresh run is a failure (a silently
-dropped phase looks like a win otherwise); a NEW fresh row is allowed
+Phases are matched by name, never by position. A phase present in the
+baseline but missing from the fresh run is a failure (a silently
+dropped phase looks like a win otherwise); a NEW fresh phase is allowed
 (suites grow).
 
 The default thresholds are tuned for same-machine runs (CI re-running
@@ -40,24 +38,17 @@ import sys
 
 IDENTITY_KEYS = ("schema", "scenario", "scale", "seed", "index", "transport")
 
-CELL_COORDS = ("shards", "cache_mb", "admission_window_us", "write_pct",
-               "threads", "transport")
-
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
 
 
-def _row_label(kind, key):
-    return f"{kind} {key!r}"
-
-
-def _compare_rows(baseline_rows, fresh_rows, kind, opts, where, errors):
-    """Gates matched rows; missing fresh rows fail, new ones are allowed."""
+def _compare_phases(baseline_rows, fresh_rows, opts, where, errors):
+    """Gates matched phases; missing fresh phases fail, new ones are allowed."""
     for key, base in baseline_rows.items():
         fresh = fresh_rows.get(key)
-        label = _row_label(kind, key)
+        label = f"phase {key!r}"
         if fresh is None:
             errors.append(f"{where}: {label} missing from the fresh run")
             continue
@@ -118,16 +109,7 @@ def compare(baseline_path, fresh_path, opts):
                               f"{failure}")
         baseline_rows = {p.get("name"): p for p in base.get("phases", [])}
         fresh_rows = {p.get("name"): p for p in fresh.get("phases", [])}
-        _compare_rows(baseline_rows, fresh_rows, "phase", opts, where,
-                      errors)
-    elif schema == "wazi.bench.serve/1":
-        def cell_key(cell):
-            return tuple(cell.get(k) for k in CELL_COORDS)
-
-        baseline_rows = {cell_key(c): c for c in base.get("cells", [])}
-        fresh_rows = {cell_key(c): c for c in fresh.get("cells", [])}
-        _compare_rows(baseline_rows, fresh_rows, "cell", opts, where,
-                      errors)
+        _compare_phases(baseline_rows, fresh_rows, opts, where, errors)
     else:
         errors.append(f"{where}: unknown schema {schema!r}")
     return errors

@@ -28,31 +28,6 @@ def _metrics():
     }
 
 
-def serve_doc():
-    return {
-        "schema": "wazi.bench.serve/1",
-        "bench": "serve_throughput",
-        "scenario": "smoke",
-        "index": "wazi",
-        "points": 1000,
-        "seconds_per_cell": 0.3,
-        "cells": [{
-            "shards": 1,
-            "cache_mb": 0,
-            "admission_window_us": 0,
-            "write_pct": 0,
-            "threads": 2,
-            "qps": 1000.0,
-            "writes_per_s": 0.0,
-            "p50_ns": 1500,
-            "p90_ns": 2000,
-            "p99_ns": 3000,
-            "cache_hit_rate": 0.0,
-        }],
-        "metrics": _metrics(),
-    }
-
-
 def scenario_doc():
     return {
         "schema": "wazi.bench.scenario/1",
@@ -123,24 +98,15 @@ class ValidateTest(unittest.TestCase):
         finally:
             os.unlink(path)
 
-    def test_valid_serve_doc_passes(self):
-        self.assertEqual(self._validate(serve_doc()), [])
-
     def test_valid_scenario_doc_passes(self):
         self.assertEqual(self._validate(scenario_doc()), [])
 
     def test_unknown_schema_fails(self):
-        doc = serve_doc()
+        doc = scenario_doc()
         doc["schema"] = "wazi.bench.other/9"
         errors = self._validate(doc)
         self.assertEqual(len(errors), 1)
         self.assertIn("unknown schema", errors[0])
-
-    def test_serve_missing_cell_field(self):
-        doc = serve_doc()
-        del doc["cells"][0]["p99_ns"]
-        self.assertTrue(
-            any("p99_ns" in e for e in self._validate(doc)))
 
     def test_scenario_missing_phase_field(self):
         doc = scenario_doc()

@@ -14,7 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 
 import compare_bench_json as cmp_mod
 
-from test_check_bench_json import scenario_doc, serve_doc
+from test_check_bench_json import scenario_doc
 
 
 class _Opts:
@@ -44,10 +44,6 @@ class CompareTest(unittest.TestCase):
 
     def test_identical_runs_pass(self):
         doc = scenario_doc()
-        self.assertEqual(self._compare(doc, copy.deepcopy(doc)), [])
-
-    def test_serve_identical_runs_pass(self):
-        doc = serve_doc()
         self.assertEqual(self._compare(doc, copy.deepcopy(doc)), [])
 
     def test_small_jitter_passes(self):
@@ -109,14 +105,6 @@ class CompareTest(unittest.TestCase):
 
         fresh = copy.deepcopy(base)
         fresh["phases"] = []
-        errors = self._compare(base, fresh)
-        self.assertTrue(any("missing from the fresh run" in e
-                            for e in errors))
-
-    def test_serve_cells_matched_by_coordinates(self):
-        base = serve_doc()
-        fresh = copy.deepcopy(base)
-        fresh["cells"][0]["threads"] = 8  # different coordinate, not a match
         errors = self._compare(base, fresh)
         self.assertTrue(any("missing from the fresh run" in e
                             for e in errors))

@@ -59,6 +59,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -319,6 +320,14 @@ int ParseWritePct(const std::string& mix) {
   return static_cast<int>(100 - reads);
 }
 
+// A load run's p50/p90/p99, rounded to whole ns.
+void PrintLatencies(const obs::HistogramSnapshot& latencies) {
+  for (const int pct : {50, 90, 99}) {
+    std::printf("latency p%d:    %lldns\n", pct,
+                std::llround(latencies.Percentile(pct)));
+  }
+}
+
 int CmdThroughput(const std::map<std::string, std::string>& flags) {
   const Region region = RequireRegion(flags);
   const size_t n =
@@ -414,12 +423,7 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
     std::printf("writes:         %lld (%.0f/s)\n",
                 static_cast<long long>(load.writes),
                 static_cast<double>(load.writes) / load.elapsed_seconds);
-    std::printf("latency p50:    %lldns\n",
-                static_cast<long long>(load.latencies.PercentileNs(50)));
-    std::printf("latency p90:    %lldns\n",
-                static_cast<long long>(load.latencies.PercentileNs(90)));
-    std::printf("latency p99:    %lldns\n",
-                static_cast<long long>(load.latencies.PercentileNs(99)));
+    PrintLatencies(load.latencies);
     return 0;
   }
 
@@ -516,12 +520,7 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
   std::printf("writes:         %lld (%.0f/s)\n",
               static_cast<long long>(load.writes),
               static_cast<double>(load.writes) / load.elapsed_seconds);
-  std::printf("latency p50:    %lldns\n",
-              static_cast<long long>(load.latencies.PercentileNs(50)));
-  std::printf("latency p90:    %lldns\n",
-              static_cast<long long>(load.latencies.PercentileNs(90)));
-  std::printf("latency p99:    %lldns\n",
-              static_cast<long long>(load.latencies.PercentileNs(99)));
+  PrintLatencies(load.latencies);
   std::printf("snapshots:      %llu versions published, %lld drift rebuilds\n",
               static_cast<unsigned long long>(loop.version()),
               static_cast<long long>(loop.rebuilds()));
@@ -585,9 +584,9 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
                         load.elapsed_seconds);
     w.Key("writes_per_s").Double(static_cast<double>(load.writes) /
                                  load.elapsed_seconds);
-    w.Key("p50_ns").Int(load.latencies.PercentileNs(50));
-    w.Key("p90_ns").Int(load.latencies.PercentileNs(90));
-    w.Key("p99_ns").Int(load.latencies.PercentileNs(99));
+    w.Key("p50_ns").Int(std::llround(load.latencies.Percentile(50)));
+    w.Key("p90_ns").Int(std::llround(load.latencies.Percentile(90)));
+    w.Key("p99_ns").Int(std::llround(load.latencies.Percentile(99)));
     w.Key("epoch").UInt(loop.epoch());
     w.Key("metrics").Raw(obs::ToJson(loop.metrics().Snapshot()));
     w.Key("trace").Raw(obs::TraceTailJson(
